@@ -10,8 +10,6 @@ from .convcode import (
     ConvCode,
     DistanceProfile,
     column_bound,
-    column_distance_exhaustive,
-    column_distance_trellis,
     column_distances_exhaustive,
     column_distances_trellis,
     distance_profile,

@@ -44,16 +44,32 @@ def code_to_json_dict(code: cc.ConvCode, **extra) -> dict:
     return d
 
 
+def _header_int(value) -> int:
+    """An integer header field, as a JSON int or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"header field {value!r} is not an integer")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"header field {value!r} is not an integer") from None
+
+
 def parse_code_file(text: str) -> cc.ConvCode:
     """Parse the text (or JSON) code format, cross-checking the degree.
 
     The declared delta must match the degree re-derived from the k x k
-    minors of G(z); a mismatch is a hard error.
+    minors of G(z); a mismatch is a hard error.  Every malformed input
+    raises ValueError.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         d = json.loads(text)
-        n, k, delta = int(d["n"]), int(d["k"]), int(d["delta"])
+        missing = [key for key in ("n", "k", "delta", "G") if key not in d]
+        if missing:
+            raise ValueError(f"JSON code lacks {', '.join(missing)}")
+        header = [d["n"], d["k"], d["delta"]]
+        if not isinstance(d["G"], list) or not all(isinstance(b, list) for b in d["G"]):
+            raise ValueError("JSON 'G' must be a list of row lists")
         rows = [r for block in d["G"] for r in block]
     else:
         lines = [
@@ -66,12 +82,14 @@ def parse_code_file(text: str) -> cc.ConvCode:
         header = lines[0].split()
         if len(header) != 3:
             raise ValueError("header must be 'n k delta'")
-        n, k, delta = (int(x) for x in header)
         rows = lines[1:]
+    n, k, delta = (_header_int(x) for x in header)
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
     if len(rows) % k:
         raise ValueError(f"{len(rows)} coefficient rows is not a multiple of k={k}")
     for r in rows:
-        if len(r) != n or set(r) - {"0", "1"}:
+        if not isinstance(r, str) or len(r) != n or set(r) - {"0", "1"}:
             raise ValueError(f"bad coefficient row {r!r}")
     coeffs = tuple(
         BitMatrix.from_strings(rows[i : i + k]) for i in range(0, len(rows), k)

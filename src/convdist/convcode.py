@@ -2,13 +2,13 @@
 
 Column distances come from two independent algorithms — exhaustive message
 enumeration over the truncated sliding matrix, and a minimum-weight dynamic
-program on the shift-register state graph — which must always agree.  The
-free distance is an exact shortest-path search on the same state graph.
+program over numpy tables of the shift-register states — which must always
+agree.  The free distance is an exact shortest-path search on the same
+state tables.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,12 +17,10 @@ import numpy as np
 
 from .gf2core import (
     BitMatrix,
-    BitVec,
     PolyMatrix,
     k_minors,
     poly_gcd,
     rank,
-    vec_mat_mul,
     vstack,
 )
 from .simplex import min_weight_block_code
@@ -30,6 +28,10 @@ from .simplex import min_weight_block_code
 MESSAGE_GUARD_BITS = 30
 STATE_GUARD_BITS = 24
 _CHUNK_BITS = 22
+_WORD_MASK = (1 << 64) - 1
+# Unreached states sit at _INF.  Path weights are int32, which is exact while
+# _INF + n * (j + 1) < 2^31, that is for every d_j below 2^30.
+_INF = np.int32(1 << 30)
 
 
 @dataclass(frozen=True)
@@ -128,23 +130,28 @@ def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
     return BitMatrix((j + 1) * c.n, tuple(rows))
 
 
+def _xor_span(rows, n: int) -> np.ndarray:
+    """Entry i is the XOR of the n-bit `rows` selected by the bits of i, as
+    little-endian uint64 words: shape (2^len(rows), ceil(n / 64))."""
+    words = max(1, -(-n // 64))
+    span = np.zeros((1 << len(rows), words), dtype=np.uint64)
+    for i, r in enumerate(rows):
+        half = 1 << i
+        row = np.array([(r >> (64 * w)) & _WORD_MASK for w in range(words)], dtype=np.uint64)
+        np.bitwise_xor(span[:half], row, out=span[half : 2 * half])
+    return span
+
+
 def _block_weight_luts(c: ConvCode, jmax: int):
     """Weight lookup tables for the i-th output block as a function of the
-    window of message blocks u_{i-W}..u_i, W = min(i, mu)."""
-    k, mu = c.k, c.mu
+    window of message blocks u_{i-W}..u_i, W = min(i, mu).
+
+    Window bit k*d + r is row r of message block u_{i-W+d}, which multiplies
+    G_{W-d}."""
     luts = []
-    for w_blocks in range(min(jmax, mu) + 1):
-        size = 1 << (k * (w_blocks + 1))
-        lut = np.empty(size, dtype=np.int64)
-        kmask = (1 << k) - 1
-        for w in range(size):
-            out = 0
-            for d in range(w_blocks + 1):
-                block = (w >> (k * d)) & kmask
-                if block:
-                    out ^= vec_mat_mul(BitVec(k, block), c.coeffs[w_blocks - d]).bits
-            lut[w] = out.bit_count()
-        luts.append(lut)
+    for w_blocks in range(min(jmax, c.mu) + 1):
+        rows = [c.coeffs[w_blocks - d].row_bits[r] for d in range(w_blocks + 1) for r in range(c.k)]
+        luts.append(np.bitwise_count(_xor_span(rows, c.n)).sum(axis=1, dtype=np.int64))
     return luts
 
 
@@ -178,64 +185,70 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
     return [int(d) for d in dist]
 
 
-def column_distance_exhaustive(c: ConvCode, j: int) -> int:
-    return column_distances_exhaustive(c, j)[j]
-
-
 # ---------------------------------------------------------------------------
-# Shift-register encoder and trellis algorithms
+# State tables of the direct-form encoder and the trellis algorithms
+#
+# The encoder keeps one shift register of length nu_r per input row; state
+# bit (offset_r + d - 1) holds the input of row r from d steps ago.  A branch
+# (s, u) leads to the next state t and drops, per row, the oldest register
+# bit (or u_r itself when nu_r = 0).  That map is a bijection onto (t,
+# dropped bits), so every state has exactly 2^k predecessors.
 
 
-class _Encoder:
-    """Direct-form encoder: one shift register of length nu_r per input row."""
+def _fits_state_tables(c: ConvCode) -> bool:
+    """Whether the 2^(memory + k)-entry branch tables fit STATE_GUARD_BITS."""
+    return external_degree(c) + c.k <= STATE_GUARD_BITS
 
-    def __init__(self, c: ConvCode):
-        self.c = c
-        self.nus = row_degrees(c)
-        self.memory = sum(self.nus)
-        # state bit (offset_r + d - 1) stores the input of row r from d steps ago
-        self.offsets = []
-        off = 0
-        for nu in self.nus:
-            self.offsets.append(off)
-            off += nu
-        # output contribution of each state bit
-        self.state_contrib = []
-        for r, nu in enumerate(self.nus):
-            for d in range(1, nu + 1):
-                self.state_contrib.append(c.coeffs[d].row_bits[r])
-        self.input_contrib = [c.coeffs[0].row_bits[r] for r in range(c.k)]
-        self._out_cache = {0: 0}
 
-    def _state_output(self, state: int) -> int:
-        out = self._out_cache.get(state)
-        if out is None:
-            out = 0
-            s = state
-            while s:
-                i = (s & -s).bit_length() - 1
-                out ^= self.state_contrib[i]
-                s &= s - 1
-            self._out_cache[state] = out
-        return out
+def _state_tables(c: ConvCode):
+    """Branch weights bw[u, s] and predecessors pred[d, t] = u * 2^memory + s,
+    the flat index of the branch (s, u) into t that drops the bits d."""
+    if not _fits_state_tables(c):
+        bits = external_degree(c) + c.k
+        raise ValueError(f"{bits} state-table bits exceed the memory guard")
+    k, nus = c.k, row_degrees(c)
+    memory = sum(nus)
+    # Inverse of the branch map: register r of t holds u_r in its lowest bit
+    # and the newer bits of s's register above it; d_r is s's oldest bit.
+    t = np.arange(1 << memory, dtype=np.int32)
+    d = np.arange(1 << k, dtype=np.int32)
+    from_t = np.zeros_like(t)
+    from_d = np.zeros_like(d)
+    off = 0
+    for r, nu in enumerate(nus):
+        if nu:
+            reg = (t >> off) & ((1 << nu) - 1)
+            from_t |= ((reg >> 1) << off) | ((reg & 1) << (memory + r))
+            from_d |= ((d >> r) & 1) << (off + nu - 1)
+        else:
+            from_d |= ((d >> r) & 1) << (memory + r)
+        off += nu
+    pred = from_d[:, None] | from_t
+    state_rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(1, nu + 1)]
+    out_state = _xor_span(state_rows, c.n)
+    bw = np.empty_like(pred)
+    for u, word in enumerate(_xor_span(c.coeffs[0].row_bits, c.n)):
+        bw[u] = np.bitwise_count(out_state ^ word).sum(axis=1, dtype=np.int32)
+    return bw, pred
 
-    def output_bits(self, state: int, u: int) -> int:
-        out = self._state_output(state)
-        for r in range(self.c.k):
-            if (u >> r) & 1:
-                out ^= self.input_contrib[r]
-        return out
 
-    def next_state(self, state: int, u: int) -> int:
-        nxt = 0
-        for r, nu in enumerate(self.nus):
-            if nu == 0:
-                continue
-            off = self.offsets[r]
-            reg = (state >> off) & ((1 << nu) - 1)
-            reg = ((reg << 1) | ((u >> r) & 1)) & ((1 << nu) - 1)
-            nxt |= reg << off
-        return nxt
+def _min_plus_step(cur, bw, pred, leave_zero: bool = False):
+    """Cheapest arrival at every state after one more branch; with
+    `leave_zero` the all-zero branch from the zero state is excluded."""
+    total = cur + bw
+    if leave_zero:
+        total[0, 0] = _INF
+    # one row of pred at a time: np.take widens int32 indices to intp
+    best = np.take(total, pred[0])
+    for row in pred[1:]:
+        np.minimum(best, np.take(total, row), out=best)
+    return best
+
+
+def _from_zero_state(size: int):
+    start = np.full(size, _INF, dtype=np.int32)
+    start[0] = 0
+    return start
 
 
 def column_distances_trellis(c: ConvCode, jmax: int):
@@ -244,31 +257,13 @@ def column_distances_trellis(c: ConvCode, jmax: int):
         raise ValueError("column distances need a delay-free generator matrix")
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    enc = _Encoder(c)
-    if enc.memory > STATE_GUARD_BITS:
-        raise ValueError(f"{enc.memory} state bits exceed the memory guard")
-    cur = {}
-    for u in range(1, 1 << c.k):
-        w = enc.output_bits(0, u).bit_count()
-        s = enc.next_state(0, u)
-        if w < cur.get(s, math.inf):
-            cur[s] = w
-    dist = [min(cur.values())]
+    bw, pred = _state_tables(c)
+    cur = _min_plus_step(_from_zero_state(bw.shape[1]), bw, pred, leave_zero=True)
+    dist = [int(cur.min())]
     for _ in range(jmax):
-        nxt = {}
-        for s, w in cur.items():
-            for u in range(1 << c.k):
-                w2 = w + enc.output_bits(s, u).bit_count()
-                s2 = enc.next_state(s, u)
-                if w2 < nxt.get(s2, math.inf):
-                    nxt[s2] = w2
-        cur = nxt
-        dist.append(min(cur.values()))
+        cur = _min_plus_step(cur, bw, pred)
+        dist.append(int(cur.min()))
     return dist
-
-
-def column_distance_trellis(c: ConvCode, j: int) -> int:
-    return column_distances_trellis(c, j)[j]
 
 
 def distance_profile(
@@ -276,7 +271,7 @@ def distance_profile(
 ) -> DistanceProfile:
     """Column-distance profile d_0..d_jmax, optionally with the free distance."""
     if method == "auto":
-        method = "trellis" if sum(row_degrees(c)) <= STATE_GUARD_BITS else "exhaustive"
+        method = "trellis" if _fits_state_tables(c) else "exhaustive"
     if method == "exhaustive":
         values = column_distances_exhaustive(c, jmax)
     elif method == "trellis":
@@ -288,42 +283,28 @@ def distance_profile(
 
 
 def free_distance(c: ConvCode) -> int:
-    """Exact free distance via Dijkstra on the encoder state graph.
+    """Exact free distance by bounded relaxation on the encoder state tables.
 
     Only defined here for non-catastrophic codes, where the free distance is
     attained by a finite excursion that leaves the zero state with a nonzero
-    input and returns to it.
+    input and returns to it.  labels[s] is the lightest excursion found so
+    far that is at s and has not yet returned; the zero state is held at
+    +inf, and each return to it updates `best`.
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    enc = _Encoder(c)
-    if enc.memory > STATE_GUARD_BITS:
-        raise ValueError(f"{enc.memory} state bits exceed the memory guard")
-    best = math.inf
-    heap = []
-    for u in range(1, 1 << c.k):
-        w = enc.output_bits(0, u).bit_count()
-        s = enc.next_state(0, u)
-        if s == 0:
-            best = min(best, w)
-        else:
-            heapq.heappush(heap, (w, s))
-    settled = set()
-    while heap:
-        w, s = heapq.heappop(heap)
-        if w >= best:
-            break
-        if s in settled:
-            continue
-        settled.add(s)
-        for u in range(1 << c.k):
-            w2 = w + enc.output_bits(s, u).bit_count()
-            s2 = enc.next_state(s, u)
-            if s2 == 0:
-                best = min(best, w2)
-            elif s2 not in settled:
-                heapq.heappush(heap, (w2, s2))
-    return int(best)
+    bw, pred = _state_tables(c)
+    labels = _from_zero_state(bw.shape[1])
+    best, leave_zero = _INF, True
+    while True:
+        cand = _min_plus_step(labels, bw, pred, leave_zero)
+        best = min(best, int(cand[0]))
+        cand[0] = labels[0] = _INF
+        np.minimum(cand, labels, out=cand)
+        # weights are nonnegative, so no excursion still open can beat best
+        if cand.min() >= best or np.array_equal(cand, labels):
+            return int(best)
+        labels, leave_zero = cand, False
 
 
 # ---------------------------------------------------------------------------

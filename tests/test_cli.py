@@ -40,6 +40,46 @@ class TestCodeFileFormat:
             parse_code_file("2 1 1\n11\n1x\n")
 
 
+def assert_one_line_error(capsys, path):
+    for command in ("check", "profile"):
+        rc, _, err = run(capsys, command, str(path))
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMalformedHeaders:
+    def test_zero_k(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        path.write_text("3 0 1\n111\n")
+        with pytest.raises(ValueError, match="k=0"):
+            parse_code_file(path.read_text())
+        assert_one_line_error(capsys, path)
+
+    def test_json_without_k(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 2, "delta": 1, "G": [["11"], ["10"]]}))
+        with pytest.raises(ValueError, match="lacks k"):
+            parse_code_file(path.read_text())
+        assert_one_line_error(capsys, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 x 1\n11\n10\n",
+            "2 1.5 1\n11\n10\n",
+            json.dumps({"n": 2, "k": 1.5, "delta": 1, "G": [["11"], ["10"]]}),
+            json.dumps({"n": 2, "k": True, "delta": 1, "G": [["11"], ["10"]]}),
+            json.dumps({"n": 2, "k": None, "delta": 1, "G": [["11"], ["10"]]}),
+        ],
+    )
+    def test_non_integer_field(self, tmp_path, capsys, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_code_file(text)
+        assert_one_line_error(capsys, path)
+
+
 class TestConstructCommand:
     def test_stdout_and_file_agree(self, tmp_path, capsys):
         out_path = tmp_path / "code.txt"

@@ -1,6 +1,13 @@
+import heapq
+import math
+import random
+
 import pytest
 
+from convdist import convcode
+from convdist.construct import construct, predicted_profile_rate_1_n
 from convdist.convcode import (
+    STATE_GUARD_BITS,
     ConvCode,
     DistanceProfile,
     L_value,
@@ -21,7 +28,7 @@ from convdist.convcode import (
     singleton_bound,
     sliding_matrix,
 )
-from convdist.gf2core import BitMatrix
+from convdist.gf2core import BitMatrix, BitVec, rank, vec_mat_mul
 
 
 def code_from_rows(rows, k=1, delta=None):
@@ -112,6 +119,30 @@ class TestDistances:
         with pytest.raises(ValueError):
             column_distances_exhaustive(REP_211, 30)
 
+    def test_state_table_guard_precedes_allocation(self, monkeypatch):
+        # memory + k = STATE_GUARD_BITS + 1: one bit over the guard
+        rows = ["11"] + ["00"] * (STATE_GUARD_BITS - 1) + ["10"]
+        c = code_from_rows(rows)
+
+        def no_tables(*args):
+            raise AssertionError("state tables built past the guard")
+
+        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        with pytest.raises(ValueError, match="guard"):
+            column_distances_trellis(c, 2)
+        with pytest.raises(ValueError, match="guard"):
+            free_distance(c)
+        monkeypatch.undo()
+        prof = distance_profile(c, 2)
+        assert prof.method == "exhaustive" and prof.values == (2, 2, 2)
+
+    def test_code_wider_than_one_word(self):
+        code, _ = construct(96, 1, 5)
+        pred = predicted_profile_rate_1_n(96, 5, 8)
+        assert column_distances_trellis(code, 8) == list(pred.values)
+        assert column_distances_exhaustive(code, 8) == list(pred.values)
+        assert free_distance(code) == pred.free_distance == 96 + 5 * 48
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             DistanceProfile((3, 2))
@@ -186,3 +217,91 @@ class TestBounds:
         prof = distance_profile(c, 4).values
         for lo, d, up, cap in zip(rep.lower, prof, rep.upper, rep.cap):
             assert lo <= d <= up <= cap
+
+
+def test_xor_span_matches_vec_mat_mul():
+    rng = random.Random(70)
+    m = BitMatrix(70, tuple(rng.getrandbits(70) for _ in range(6)))
+    span = convcode._xor_span(m.row_bits, 70)
+    assert span.shape == (64, 2)
+    for i, (lo, hi) in enumerate(span.tolist()):
+        assert lo | (hi << 64) == vec_mat_mul(BitVec(6, i), m).bits
+
+
+def reference_free_distance(c):
+    """Heap Dijkstra over a bit-level direct-form encoder: an oracle that
+    shares nothing with the numpy state tables."""
+    nus = row_degrees(c)
+    offsets = [sum(nus[:r]) for r in range(c.k)]
+
+    def branch(state, u):
+        out, nxt = 0, 0
+        for r, nu in enumerate(nus):
+            u_r = (u >> r) & 1
+            reg = (state >> offsets[r]) & ((1 << nu) - 1)
+            if u_r:
+                out ^= c.coeffs[0].row_bits[r]
+            for d in range(1, nu + 1):
+                if (reg >> (d - 1)) & 1:
+                    out ^= c.coeffs[d].row_bits[r]
+            nxt |= (((reg << 1) | u_r) & ((1 << nu) - 1)) << offsets[r]
+        return out.bit_count(), nxt
+
+    best = math.inf
+    heap = []
+    for u in range(1, 1 << c.k):
+        w, s = branch(0, u)
+        if s == 0:
+            best = min(best, w)
+        else:
+            heapq.heappush(heap, (w, s))
+    settled = set()
+    while heap:
+        w, s = heapq.heappop(heap)
+        if w >= best:
+            break
+        if s in settled:
+            continue
+        settled.add(s)
+        for u in range(1 << c.k):
+            w2, s2 = branch(s, u)
+            if s2 == 0:
+                best = min(best, w + w2)
+            elif s2 not in settled:
+                heapq.heappush(heap, (w + w2, s2))
+    return best
+
+
+def random_delay_free_code(rng):
+    """k <= 3, n <= 7, row degrees summing to at most 6, full-rank G_0."""
+    k = rng.randint(1, 3)
+    n = rng.randint(k, 7)
+    while True:
+        nus = [rng.randint(0, 6) for _ in range(k)]
+        if sum(nus) <= 6:
+            break
+    while True:
+        g0 = tuple(rng.getrandbits(n) for _ in range(k))
+        if rank(BitMatrix(n, g0)) == k:
+            break
+    rows = [list(g0)] + [[0] * k for _ in range(max(nus))]
+    for r, nu in enumerate(nus):
+        for i in range(1, nu + 1):
+            rows[i][r] = rng.getrandbits(n)
+        while nu and not rows[nu][r]:
+            rows[nu][r] = rng.getrandbits(n)
+    return ConvCode(n, k, tuple(BitMatrix(n, tuple(g)) for g in rows), sum(nus))
+
+
+def test_random_codes_oracles_agree():
+    rng = random.Random(2305)
+    freed = 0
+    for _ in range(600):
+        c = random_delay_free_code(rng)
+        jmax = min(c.mu + 3, 15 // c.k - 1)
+        trellis = column_distances_trellis(c, jmax)
+        assert trellis == column_distances_exhaustive(c, jmax), c
+        if is_noncatastrophic(c):
+            assert free_distance(c) == reference_free_distance(c), c
+            freed += 1
+    assert freed >= 300
