@@ -57,9 +57,9 @@ def _header_int(value) -> int:
 def parse_code_file(text: str) -> cc.ConvCode:
     """Parse the text (or JSON) code format, cross-checking the degree.
 
-    The declared delta must match the degree re-derived from the k x k
-    minors of G(z); a mismatch is a hard error.  Every malformed input
-    raises ValueError.
+    The declared delta must match the internal degree of G(z), the largest
+    degree of its k x k minors; a mismatch is a hard error.  Every malformed
+    input raises ValueError.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -157,7 +157,11 @@ def _profile_report(code: cc.ConvCode, jmax: int, method: str, want_free: bool):
         "column_bounds": [cc.column_bound(code.n, code.k, j) for j in range(jmax + 1)],
     }
     if code.n > code.k:
-        report["mdp"] = cc.is_mdp(code)
+        L = cc.L_value(code.n, code.k, code.delta)
+        if jmax >= L:
+            report["mdp"] = profile.values[L] == cc.column_bound(code.n, code.k, L)
+        else:
+            report["mdp"] = cc.is_mdp(code)
     return report
 
 
@@ -180,9 +184,11 @@ def cmd_profile(args) -> int:
 def cmd_check(args) -> int:
     with open(args.infile) as fh:
         code = parse_code_file(fh.read())
+    internal = cc.internal_degree(code)
+    external = cc.external_degree(code)
     flags = {
         "delay_free": cc.is_delay_free(code),
-        "row_reduced": cc.is_row_reduced(code),
+        "row_reduced": internal == external,
         "noncatastrophic": cc.is_noncatastrophic(code),
         "generic_row_degrees": cc.has_generic_row_degrees(code),
     }
@@ -191,8 +197,8 @@ def cmd_check(args) -> int:
         "k": code.k,
         "delta": code.delta,
         "row_degrees": cc.row_degrees(code),
-        "external_degree": cc.external_degree(code),
-        "internal_degree": cc.internal_degree(code),
+        "external_degree": external,
+        "internal_degree": internal,
         **flags,
     }
     if args.json:

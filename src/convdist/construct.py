@@ -14,8 +14,7 @@ from typing import Optional, Tuple
 
 from .convcode import ConvCode, DistanceProfile
 from .gf2core import BitMatrix, hstack
-from .simplex import k_partial_simplex, m_fold, partial_simplex
-from . import simplex as _simplex
+from .simplex import k_partial_simplex, m_fold, min_weight_block_code, partial_simplex
 
 # Canonical optimal residual row for delta=3 (one of the eight equivalent
 # choices; the others are available through the search in `optsearch`), and
@@ -288,7 +287,7 @@ def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
             if used[idx]:
                 continue
             trial = _matrix_from_columns(delta + k, chosen + [cand])
-            wt = _residual_min_weight(trial)
+            wt = min_weight_block_code(trial)
             if wt > best_wt:
                 best_idx, best_wt = idx, wt
         used[best_idx] = True
@@ -299,10 +298,6 @@ def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
     else:
         stack = ext
     return stack_to_code(stack, k, delta)
-
-
-def _residual_min_weight(m_mat: BitMatrix) -> int:
-    return _simplex.min_weight_block_code(m_mat)
 
 
 # ---------------------------------------------------------------------------

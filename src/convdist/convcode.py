@@ -15,14 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf2core import (
-    BitMatrix,
-    PolyMatrix,
-    k_minors,
-    poly_gcd,
-    rank,
-    vstack,
-)
+from .gf2core import BitMatrix, PolyMatrix, poly_divmod, poly_mul, rank, vstack
 from .simplex import min_weight_block_code
 
 MESSAGE_GUARD_BITS = 30
@@ -142,12 +135,21 @@ def _xor_span(rows, n: int) -> np.ndarray:
     return span
 
 
+def _table_bits(entry_bits: int, n: int) -> int:
+    """log2, rounded up, of the uint64 words in a table of 2^entry_bits
+    entries of n-bit outputs, ceil(n / 64) words each."""
+    return entry_bits + (-(-n // 64) - 1).bit_length()
+
+
 def _block_weight_luts(c: ConvCode, jmax: int):
     """Weight lookup tables for the i-th output block as a function of the
     window of message blocks u_{i-W}..u_i, W = min(i, mu).
 
     Window bit k*d + r is row r of message block u_{i-W+d}, which multiplies
     G_{W-d}."""
+    bits = _table_bits(c.k * (min(jmax, c.mu) + 1), c.n)
+    if bits > STATE_GUARD_BITS:
+        raise ValueError(f"{bits} weight-table bits exceed the memory guard")
     luts = []
     for w_blocks in range(min(jmax, c.mu) + 1):
         rows = [c.coeffs[w_blocks - d].row_bits[r] for d in range(w_blocks + 1) for r in range(c.k)]
@@ -196,8 +198,9 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 
 
 def _fits_state_tables(c: ConvCode) -> bool:
-    """Whether the 2^(memory + k)-entry branch tables fit STATE_GUARD_BITS."""
-    return external_degree(c) + c.k <= STATE_GUARD_BITS
+    """Whether the 2^(memory + k) branches, with their n-bit outputs counted
+    in words, fit STATE_GUARD_BITS."""
+    return _table_bits(external_degree(c) + c.k, c.n) <= STATE_GUARD_BITS
 
 
 def _state_tables(c: ConvCode):
@@ -205,7 +208,7 @@ def _state_tables(c: ConvCode):
     the flat index of the branch (s, u) into t that drops the bits d."""
     if not _fits_state_tables(c):
         bits = external_degree(c) + c.k
-        raise ValueError(f"{bits} state-table bits exceed the memory guard")
+        raise ValueError(f"{bits} state-table bits at n = {c.n} exceed the memory guard")
     k, nus = c.k, row_degrees(c)
     memory = sum(nus)
     # Inverse of the branch map: register r of t holds u_r in its lowest bit
@@ -328,11 +331,47 @@ def external_degree(c: ConvCode) -> int:
     return sum(row_degrees(c))
 
 
+def _dependent_rows(vecs) -> int:
+    """Bit mask of a nonempty set of the GF(2) row vectors `vecs` that sums to
+    zero, or 0 if they are linearly independent."""
+    pivots = []  # (lowest bit, reduced vector, mask of the rows it sums)
+    for i, v in enumerate(vecs):
+        mask = 1 << i
+        for low, pv, pmask in pivots:
+            if v & low:
+                v ^= pv
+                mask ^= pmask
+        if not v:
+            return mask
+        pivots.append((v & -v, v, mask))
+    return 0
+
+
 def internal_degree(c: ConvCode) -> Optional[int]:
-    """Max degree of the k x k minors, or None if all minors vanish."""
-    minors = k_minors(c.to_poly_matrix())
-    degs = [m.degree for m in minors if not m.is_zero()]
-    return max(degs) if degs else None
+    """Max degree of the k x k minors, or None if all minors vanish.
+
+    Unimodular row operations keep every minor, so G(z) is row-reduced in
+    place: while the leading-row-coefficient matrix is singular, the row of
+    largest degree in a dependent set S takes the z-shifted sum of S, which
+    lowers its degree.  Once that matrix has full rank, the row degrees sum
+    to the internal degree (Forney 1975).  Row r is packed into one int, the
+    z^i coefficient of entry j at bit i*n + j.
+    """
+    if c.k > c.n:
+        raise ValueError("need k <= n")
+    n = c.n
+    rows = [sum(g.row_bits[r] << (i * n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
+    while all(rows):
+        nus = [(g.bit_length() - 1) // n for g in rows]
+        dep = _dependent_rows([g >> (nu * n) for g, nu in zip(rows, nus)])
+        if not dep:
+            return sum(nus)
+        members = [i for i in range(c.k) if dep >> i & 1]
+        top = max(members, key=nus.__getitem__)
+        for i in members:
+            if i != top:
+                rows[top] ^= rows[i] << ((nus[top] - nus[i]) * n)
+    return None
 
 
 def is_row_reduced(c: ConvCode) -> bool:
@@ -354,16 +393,38 @@ def has_generic_row_degrees(c: ConvCode) -> bool:
 
 
 def is_noncatastrophic(c: ConvCode) -> bool:
-    """Left primeness: the gcd of all k x k minors of G(z) is 1."""
-    minors = [m for m in k_minors(c.to_poly_matrix()) if not m.is_zero()]
-    if not minors:
-        raise ValueError("G(z) is rank deficient")
-    g = minors[0]
-    for m in minors[1:]:
-        g = poly_gcd(g, m)
-        if g.bits == 1:
-            return True
-    return g.bits == 1
+    """Left primeness: the gcd of all k x k minors of G(z) is 1.
+
+    Unimodular column operations keep that gcd (Cauchy-Binet).  For each row
+    i in turn, Euclid's algorithm on the columns not yet used as pivots
+    leaves one column with a nonzero entry in row i, the pivot.  That brings
+    G(z) to [L | 0] with L lower triangular, whose maximal minors have gcd
+    det L, the product of the pivots.
+    """
+    cols = [[0] * c.k for _ in range(c.n)]
+    for r in range(c.k):
+        for i, g in enumerate(c.coeffs):
+            bits = g.row_bits[r]
+            while bits:
+                cols[(bits & -bits).bit_length() - 1][r] |= 1 << i
+                bits &= bits - 1
+    pivots = []
+    for i in range(c.k):
+        live = [col for col in cols if col[i]]
+        if not live:
+            raise ValueError("G(z) is rank deficient")
+        while len(live) > 1:
+            p = min(live, key=lambda col: col[i].bit_length())
+            for col in live:
+                if col is not p:
+                    q = poly_divmod(col[i], p[i])[0]
+                    for t in range(i, c.k):
+                        col[t] ^= poly_mul(q, p[t])
+            live = [p] + [col for col in live if col is not p and col[i]]
+        pivot = live[0]
+        pivots.append(pivot[i])
+        cols = [col for col in cols if col is not pivot]
+    return all(p == 1 for p in pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,29 @@ def vstack(ms: Sequence[BitMatrix]) -> BitMatrix:
 # Polynomials over GF(2)
 
 
+def poly_mul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2)[z] polynomials given as ints."""
+    acc = 0
+    while a:
+        if a & 1:
+            acc ^= b
+        a >>= 1
+        b <<= 1
+    return acc
+
+
+def poly_divmod(a: int, b: int):
+    """Quotient and remainder of a / b in GF(2)[z], polynomials as ints."""
+    if b == 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = 0
+    blen = b.bit_length()
+    while (shift := a.bit_length() - blen) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
+    return q, a
+
+
 @dataclass(frozen=True)
 class Poly2:
     """Polynomial over GF(2); bit i of `bits` is the coefficient of z^i."""
@@ -235,25 +258,11 @@ class Poly2:
     __sub__ = __add__
 
     def __mul__(self, other: "Poly2") -> "Poly2":
-        a, b, acc = self.bits, other.bits, 0
-        while a:
-            if a & 1:
-                acc ^= b
-            a >>= 1
-            b <<= 1
-        return Poly2(acc)
+        return Poly2(poly_mul(self.bits, other.bits))
 
     def __divmod__(self, other: "Poly2"):
-        if other.bits == 0:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self.bits
-        q = 0
-        dlen = other.bits.bit_length()
-        while rem.bit_length() >= dlen:
-            shift = rem.bit_length() - dlen
-            rem ^= other.bits << shift
-            q |= 1 << shift
-        return Poly2(q), Poly2(rem)
+        q, r = poly_divmod(self.bits, other.bits)
+        return Poly2(q), Poly2(r)
 
     def __mod__(self, other: "Poly2") -> "Poly2":
         return divmod(self, other)[1]
@@ -278,8 +287,7 @@ def poly_gcd(a: Poly2, b: Poly2) -> Poly2:
         raise ValueError("gcd(0, 0) is undefined")
     x, y = a.bits, b.bits
     while y:
-        q = Poly2(x) % Poly2(y)
-        x, y = y, q.bits
+        x, y = y, poly_divmod(x, y)[1]
     return Poly2(x)
 
 

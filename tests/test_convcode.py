@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+import time
 
 import pytest
 
@@ -136,6 +137,37 @@ class TestDistances:
         prof = distance_profile(c, 2)
         assert prof.method == "exhaustive" and prof.values == (2, 2, 2)
 
+    def test_state_table_guard_counts_output_words(self, monkeypatch):
+        # memory + k = 23 fits at n <= 64, but 130 columns take 3 words a state
+        rows = ["1" * 130] + ["0" * 130] * 21 + ["1" + "0" * 129]
+        c = code_from_rows(rows)
+        assert external_degree(c) + c.k == STATE_GUARD_BITS - 1
+        assert convcode._fits_state_tables(code_from_rows([r[:64] for r in rows]))
+
+        def no_tables(*args):
+            raise AssertionError("state tables built past the guard")
+
+        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        with pytest.raises(ValueError, match="guard"):
+            column_distances_trellis(c, 2)
+        monkeypatch.undo()
+        prof = distance_profile(c, 2)
+        assert prof.method == "exhaustive" and prof.values == (130, 130, 130)
+
+    def test_weight_table_guard_precedes_allocation(self, monkeypatch):
+        # 26 message bits pass the message guard; a 2^26-entry table does not
+        c = code_from_rows(["11"] + ["00"] * 24 + ["10"])
+        assert c.mu == 25
+
+        def no_tables(*args):
+            raise AssertionError("weight tables built past the guard")
+
+        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="guard"):
+            column_distances_exhaustive(c, 25)
+        assert time.monotonic() - t0 < 1.0
+
     def test_code_wider_than_one_word(self):
         code, _ = construct(96, 1, 5)
         pred = predicted_profile_rate_1_n(96, 5, 8)
@@ -182,6 +214,24 @@ class TestStructure:
         c = code_from_rows(["11", "11", "11", "11"], k=2, delta=1)
         with pytest.raises(ValueError):
             is_noncatastrophic(c)
+        assert internal_degree(c) is None
+
+    def test_more_rows_than_columns_raises(self):
+        c = code_from_rows(["10", "01", "11"], k=3, delta=0)
+        with pytest.raises(ValueError):
+            internal_degree(c)
+        with pytest.raises(ValueError):
+            is_noncatastrophic(c)
+
+    def test_wide_rate_k_predicates_time_budget(self):
+        # k x k minor enumeration took over 100 s on these two codes
+        codes = [construct(112, 3, 4)[0], construct(60, 4, 3)[0]]
+        t0 = time.monotonic()
+        for c in codes:
+            assert internal_degree(c) == c.delta
+            assert is_noncatastrophic(c)
+        dt = time.monotonic() - t0
+        assert dt < 2.0, f"runtime {dt:.1f}s exceeds 2.0s budget"
 
     def test_generic_row_degrees(self):
         assert has_generic_row_degrees(REP_412)

@@ -1,0 +1,107 @@
+"""Property tests: the structural predicates against the k x k minors, and
+the code file format round trip and parser robustness."""
+
+import json
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from convdist.cli import code_to_json_dict, format_code_file, parse_code_file
+from convdist.convcode import ConvCode, internal_degree, is_noncatastrophic
+from convdist.gf2core import BitMatrix, k_minors, poly_gcd
+
+PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def codes(draw):
+    """A k x n generator matrix G_0..G_mu, k <= n <= 7, k <= 4, mu <= 4,
+    with G_mu != 0; any rank."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 7))
+    mu = draw(st.integers(0, 4))
+    row = st.integers(0, (1 << n) - 1)
+    coeffs = [BitMatrix(n, tuple(draw(row) for _ in range(k))) for _ in range(mu + 1)]
+    assume(mu == 0 or not coeffs[-1].is_zero())
+    return ConvCode(n, k, tuple(coeffs), 0)
+
+
+def minors_of(c):
+    return [m for m in k_minors(c.to_poly_matrix()) if not m.is_zero()]
+
+
+@PROPERTY_SETTINGS
+@given(codes())
+def test_internal_degree_matches_minors(c):
+    minors = minors_of(c)
+    expected = max(m.degree for m in minors) if minors else None
+    assert internal_degree(c) == expected
+
+
+@PROPERTY_SETTINGS
+@given(codes())
+def test_noncatastrophic_matches_minor_gcd(c):
+    minors = minors_of(c)
+    if not minors:
+        with pytest.raises(ValueError, match="rank deficient"):
+            is_noncatastrophic(c)
+        return
+    g = minors[0]
+    for m in minors[1:]:
+        g = poly_gcd(g, m)
+    assert is_noncatastrophic(c) == (g.bits == 1)
+
+
+# comments hold no line breaks: str.splitlines would split them into rows
+comment_text = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
+)
+
+
+@PROPERTY_SETTINGS
+@given(codes(), st.lists(comment_text, max_size=3))
+def test_code_file_round_trip(c, comments):
+    delta = internal_degree(c)
+    assume(delta is not None)
+    code = ConvCode(c.n, c.k, c.coeffs, delta)
+    assert parse_code_file(format_code_file(code, comments)) == code
+    assert parse_code_file(json.dumps(code_to_json_dict(code))) == code
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.floats() | st.text("01 x", max_size=8),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+json_codes = st.dictionaries(
+    st.sampled_from(["n", "k", "delta", "G", "x"]), json_values, max_size=5
+).map(json.dumps)
+
+
+@st.composite
+def mutated_code_files(draw):
+    """A code file, text or JSON, with a drawn (often wrong) degree and up
+    to three random splices."""
+    c = draw(codes())
+    code = ConvCode(c.n, c.k, c.coeffs, draw(st.integers(0, 4)))
+    if draw(st.booleans()):
+        text = format_code_file(code)
+    else:
+        text = json.dumps(code_to_json_dict(code))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.text('01 \n#{}[]",:x-', max_size=2)) + text[i + cut :]
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(st.text() | json_codes | mutated_code_files())
+def test_parser_gives_code_or_value_error(text):
+    try:
+        code = parse_code_file(text)
+    except ValueError:
+        return
+    assert isinstance(code, ConvCode)
+    assert internal_degree(code) == code.delta
