@@ -13,8 +13,18 @@ from typing import Optional
 
 from . import convcode as cc
 from . import optsearch as opt
-from .construct import OPT_ROW_D3, construct as build_code
-from .gf2core import BitMatrix, hstack
+from .construct import (
+    DELTA2_S2_EXPECTED,
+    DELTA2_S3_EXPECTED,
+    OPT_ROWS_D3,
+    WS3_EXPECTED,
+    WT4_EXPECTED,
+    _expand_d4,
+    _residual_code_profile,
+    construct as build_code,
+    recursive_partial_simplex_4,
+)
+from .gf2core import BitMatrix
 from .simplex import m_fold, partial_simplex
 
 
@@ -25,7 +35,7 @@ from .simplex import m_fold, partial_simplex
 
 def format_code_file(code: cc.ConvCode, comments=()) -> str:
     lines = [f"# ({code.n},{code.k},{code.delta}) binary convolutional code"]
-    lines += [f"# {c}" for c in comments]
+    lines += [f"# {piece}" for c in comments for piece in c.splitlines() or [""]]
     lines.append(f"{code.n} {code.k} {code.delta}")
     for g in code.coeffs:
         lines.append("")
@@ -275,41 +285,6 @@ def cmd_verify_optimal(args) -> int:
 # Table reproduction
 
 
-OPT_ROWS_D3 = (
-    "00011110",
-    "00101101",
-    "01001011",
-    "01111000",
-    "10000111",
-    "10110100",
-    "11010010",
-    "11100001",
-)
-WS3_EXPECTED = (0, 0, 0, 1, 1, 2, 3)
-WT4_EXPECTED = (0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 4, 5, 6, 7)
-DELTA2_S2_EXPECTED = {
-    (0, 0): ((2, 3, 3, 3, 3, 3), 3),
-    (0, 1): ((2, 3, 3, 3, 3, 3), 3),
-    (1, 0): ((2, 3, 3, 4, 4, 4), 4),
-    (1, 1): ((2, 3, 3, 4, 4, 5), 5),
-}
-DELTA2_S3_EXPECTED = {
-    ("111", "101", "110"): ((3, 4, 5, 6, 7, 7), 7),  # optimal choice
-    ("111", "100", "110"): ((3, 4, 5, 6, 6, 6), 6),
-}
-
-
-def _expand_d4(row: str) -> str:
-    h1, h2 = row[:4], row[4:]
-    return h1 + h1 + h2 + h2
-
-
-def _d4_top(g3_row: str) -> BitMatrix:
-    s3_2 = m_fold(partial_simplex(3), 2)
-    top = hstack([s3_2, s3_2])
-    return BitMatrix(16, top.row_bits + BitMatrix.from_strings([g3_row + g3_row]).row_bits)
-
-
 def _reproduce_ws3(quiet: bool):
     res = opt.search_optimal_row(m_fold(partial_simplex(3), 2))
     got = res.profile[:7]
@@ -320,7 +295,7 @@ def _reproduce_ws3(quiet: bool):
 
 
 def _reproduce_wt4(quiet: bool):
-    res = opt.search_optimal_row(_d4_top(OPT_ROW_D3))
+    res = opt.search_optimal_row(recursive_partial_simplex_4())
     got = res.profile[:15]
     if not quiet:
         print("t    : " + " ".join(f"{t:2d}" for t in range(1, 16)))
@@ -347,7 +322,7 @@ def _reproduce_opt_rows_d4(quiet: bool):
     expected = tuple(sorted(_expand_d4(r) for r in OPT_ROWS_D3))
     total = 0
     for g3 in OPT_ROWS_D3:
-        res = opt.search_optimal_row(_d4_top(g3))
+        res = opt.search_optimal_row(recursive_partial_simplex_4(g3))
         rows = [v.to_string() for v in res.optimal_rows]
         got = tuple(
             sorted(r for r in rows if r[0:4] == r[4:8] and r[8:12] == r[12:16])
@@ -360,24 +335,6 @@ def _reproduce_opt_rows_d4(quiet: bool):
             print(row)
         print(f"total optimal codes: {total}")
     return total == 64, total, 64
-
-
-def _residual_code_profile(rows, jmax=5):
-    """Profile of a code stacked from 0/1 row strings (trailing zero
-    coefficient rows trimmed), together with the limiting distance: the free
-    distance when non-catastrophic, else the saturated column distance."""
-    row_bits = [BitMatrix.from_strings([r]).row_bits[0] for r in rows]
-    while len(row_bits) > 1 and row_bits[-1] == 0:
-        row_bits.pop()
-    n = len(rows[0])
-    coeffs = tuple(BitMatrix(n, (rb,)) for rb in row_bits)
-    code = cc.ConvCode(n, 1, coeffs, len(row_bits) - 1)
-    prof = cc.distance_profile(code, max(jmax, 10))
-    if cc.is_noncatastrophic(code):
-        limit = cc.free_distance(code)
-    else:
-        limit = prof.values[-1]
-    return prof.values[: jmax + 1], limit
 
 
 def _reproduce_delta2_cases(quiet: bool):
@@ -426,10 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    common.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker count (results are identical for any N)",
-    )
     p = argparse.ArgumentParser(
         prog="convdist",
         description="Binary convolutional codes with optimal column distances",
@@ -484,9 +437,6 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

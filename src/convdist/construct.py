@@ -1,10 +1,17 @@
 """Constructions of binary convolutional codes from partial simplex codes.
 
-Covers the exact rate-1/n family (n a multiple of 2^delta), the
-column-extension family for 2^delta not dividing n (closed-form residuals
-for delta <= 2, table-backed residuals for delta in {3, 4}), the general
-near-optimal construction via binary decomposition of the leftover length,
-and the k > 1 family built from k-partial simplex codes.
+Every rate-1/n code is stacked from the canonical columns of the partial
+simplex S(delta+1)_1: column j of the stack is (1, ~j_0, ..., ~j_{delta-1}),
+with j_i bit i of j, so an (n, 1, delta) stack costs O(n*delta).  Its first
+m*2^delta columns are the m-fold partial simplex of the exact family, and
+the r leftover columns are the first r canonical columns, which is what the
+nested-block search of the near-optimal construction picks and what the
+residual tables hold for delta <= 2.  For delta in {3, 4} the table-backed
+extension replaces that last partial period by the optimal residual columns.
+The k > 1 family is built from k-partial simplex codes.
+
+This module also holds the reference tables of the paper that the
+`reproduce` subcommand and the acceptance tests check.
 """
 
 from __future__ import annotations
@@ -12,15 +19,78 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .convcode import ConvCode, DistanceProfile
+from .convcode import (
+    ConvCode,
+    DistanceProfile,
+    distance_profile,
+    free_distance,
+    is_noncatastrophic,
+)
 from .gf2core import BitMatrix, hstack
 from .simplex import k_partial_simplex, m_fold, min_weight_block_code, partial_simplex
+
+# ---------------------------------------------------------------------------
+# Reference tables
+
+# The eight optimal bottom rows over the 2-fold dimension-3 partial simplex,
+# with the weight table wt^s (s = 1..7) they share, and the weight table
+# wt^t (t = 1..15) of the dimension-5 search over the recursive dimension-4
+# layout.
+OPT_ROWS_D3 = (
+    "00011110",
+    "00101101",
+    "01001011",
+    "01111000",
+    "10000111",
+    "10110100",
+    "11010010",
+    "11100001",
+)
+WS3_EXPECTED = (0, 0, 0, 1, 1, 2, 3)
+WT4_EXPECTED = (0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 4, 4, 5, 6, 7)
+# The delta = 2 residual case analysis: (profile d_0..d_5, limiting distance)
+# for s = 2 with bottom entries (x, y), and for two s = 3 column choices.
+DELTA2_S2_EXPECTED = {
+    (0, 0): ((2, 3, 3, 3, 3, 3), 3),
+    (0, 1): ((2, 3, 3, 3, 3, 3), 3),
+    (1, 0): ((2, 3, 3, 4, 4, 4), 4),
+    (1, 1): ((2, 3, 3, 4, 4, 5), 5),
+}
+DELTA2_S3_EXPECTED = {
+    ("111", "101", "110"): ((3, 4, 5, 6, 7, 7), 7),  # optimal choice
+    ("111", "100", "110"): ((3, 4, 5, 6, 6, 6), 6),
+}
+
+
+def _expand_d4(row: str) -> str:
+    """The quarter-repeated dimension-5 row h1 h1 h2 h2 of a row h1 h2."""
+    h1, h2 = row[:4], row[4:]
+    return h1 + h1 + h2 + h2
+
 
 # Canonical optimal residual row for delta=3 (one of the eight equivalent
 # choices; the others are available through the search in `optsearch`), and
 # the delta=4 row derived from its halves.
 OPT_ROW_D3 = "11100001"
-OPT_ROW_D4 = "1110" + "1110" + "0001" + "0001"
+OPT_ROW_D4 = _expand_d4(OPT_ROW_D3)
+
+
+def _residual_code_profile(rows, jmax=5):
+    """Profile of a code stacked from 0/1 row strings (trailing zero
+    coefficient rows trimmed), together with the limiting distance: the free
+    distance when non-catastrophic, else the saturated column distance."""
+    row_bits = [BitMatrix.from_strings([r]).row_bits[0] for r in rows]
+    while len(row_bits) > 1 and row_bits[-1] == 0:
+        row_bits.pop()
+    n = len(rows[0])
+    coeffs = tuple(BitMatrix(n, (rb,)) for rb in row_bits)
+    code = ConvCode(n, 1, coeffs, len(row_bits) - 1)
+    prof = distance_profile(code, max(jmax, 10))
+    if is_noncatastrophic(code):
+        limit = free_distance(code)
+    else:
+        limit = prof.values[-1]
+    return prof.values[: jmax + 1], limit
 
 
 @dataclass(frozen=True)
@@ -56,19 +126,6 @@ class ConstructionPlan:
     provenance: str
 
 
-def _take_columns(m: BitMatrix, s: int) -> BitMatrix:
-    mask = (1 << s) - 1
-    return BitMatrix(s, tuple(r & mask for r in m.row_bits))
-
-
-def _matrix_from_columns(nrows: int, cols) -> BitMatrix:
-    rows = [0] * nrows
-    for j, col in enumerate(cols):
-        for i in range(nrows):
-            rows[i] |= col[i] << j
-    return BitMatrix(len(cols), tuple(rows))
-
-
 def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
     """Slice a (delta+k)-row stacked matrix into coefficient matrices.
 
@@ -93,7 +150,36 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
 
 
 # ---------------------------------------------------------------------------
-# Rate 1/n, exact multiples
+# Rate 1/n
+
+
+def _rate_1_stack(n: int, delta: int, tables: bool) -> BitMatrix:
+    """The (delta+1)-row stack of an (n, 1, delta) code in O(n*delta).
+
+    Column j is the canonical column j mod 2^delta of S(delta+1)_1, that is
+    (1, ~j_0, ..., ~j_{delta-1}): row i+1 repeats 2^i ones then 2^i zeros.
+    With `tables`, for delta in {3, 4} the last s = n mod 2^delta columns
+    are the first s columns of the optimal residual stack instead.
+    """
+    full = (1 << n) - 1
+    rows = [full]
+    for i in range(delta):
+        half = 1 << i
+        row, width = (1 << min(half, n)) - 1, 2 * half
+        while width < n:
+            row |= row << width
+            width *= 2
+        rows.append(row & full)
+    s = n % (1 << delta)
+    if tables and s and delta in (3, 4):
+        base = n - s
+        tail = (1 << s) - 1
+        residual = _residual_stack(delta).row_bits
+        rows = [
+            (row & ((1 << base) - 1)) | ((res & tail) << base)
+            for row, res in zip(rows, residual)
+        ]
+    return BitMatrix(n, tuple(rows))
 
 
 def construct_rate_1_n(m: int, delta: int) -> ConvCode:
@@ -102,7 +188,7 @@ def construct_rate_1_n(m: int, delta: int) -> ConvCode:
         raise ValueError("fold count must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    return stack_to_code(m_fold(partial_simplex(delta + 1), m), 1, delta)
+    return stack_to_code(_rate_1_stack(m << delta, delta, tables=False), 1, delta)
 
 
 def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile:
@@ -119,29 +205,21 @@ def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile
 
 def _residual_stack(delta: int) -> BitMatrix:
     """Stacked (delta+1)-row matrix whose leading columns are the optimal
-    residual choices for delta in 1..4."""
-    if delta == 1:
-        return partial_simplex(2)
-    if delta == 2:
-        return BitMatrix.from_strings(["111", "101", "110"])
-    s3_2 = m_fold(partial_simplex(3), 2)
+    residual choices for delta in {3, 4}."""
     if delta == 3:
-        return BitMatrix(8, s3_2.row_bits + BitMatrix.from_strings([OPT_ROW_D3]).row_bits)
-    if delta == 4:
-        s4 = recursive_partial_simplex_4()
-        return BitMatrix(
-            16, s4.row_bits + BitMatrix.from_strings([OPT_ROW_D4]).row_bits
-        )
-    raise ValueError("table-backed residuals exist only for delta in 1..4")
+        top = m_fold(partial_simplex(3), 2)
+        return BitMatrix(8, top.row_bits + BitMatrix.from_strings([OPT_ROW_D3]).row_bits)
+    top = recursive_partial_simplex_4()
+    return BitMatrix(16, top.row_bits + BitMatrix.from_strings([OPT_ROW_D4]).row_bits)
 
 
-def recursive_partial_simplex_4() -> BitMatrix:
+def recursive_partial_simplex_4(g3_row: str = OPT_ROW_D3) -> BitMatrix:
     """The dimension-4 partial simplex in its recursive column order:
-    two copies of the 2-fold dimension-3 partial simplex over the canonical
-    optimal residual row, repeated."""
+    two copies of the 2-fold dimension-3 partial simplex over the
+    dimension-3 bottom row `g3_row`, repeated."""
     s3_2 = m_fold(partial_simplex(3), 2)
     top = hstack([s3_2, s3_2])
-    g3 = BitMatrix.from_strings([OPT_ROW_D3 + OPT_ROW_D3])
+    g3 = BitMatrix.from_strings([g3_row + g3_row])
     return BitMatrix(16, top.row_bits + g3.row_bits)
 
 
@@ -153,16 +231,7 @@ def construct_extended(n: int, delta: int) -> ConvCode:
         )
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = n >> delta
-    s = n - (m << delta)
-    if s == 0:
-        return construct_rate_1_n(m, delta)
-    residual = _take_columns(_residual_stack(delta), s)
-    if m:
-        stack = hstack([m_fold(partial_simplex(delta + 1), m), residual])
-    else:
-        stack = residual
-    return stack_to_code(stack, 1, delta)
+    return stack_to_code(_rate_1_stack(n, delta, tables=True), 1, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +245,6 @@ def binary_decomposition(r: int):
     return tuple(
         i + 1 for i in range(r.bit_length() - 1, -1, -1) if (r >> i) & 1
     )
-
-
-def _nested_extension(delta: int, exponents) -> BitMatrix:
-    """Extension whose top-left nested blocks are partial simplex generators.
-
-    For each block of width 2^(a-1) the top a rows are forced to the columns
-    of the dimension-a partial simplex; the remaining rows are completed with
-    the matching canonical column of the dimension-(delta+1) partial simplex
-    of smallest index not yet used.
-    """
-    ps = partial_simplex(delta + 1)
-    pool = [ps.column(j) for j in range(ps.cols)]
-    used = [False] * len(pool)
-    chosen = []
-    for a in exponents:
-        block = partial_simplex(a)
-        for j in range(block.cols):
-            want = block.column(j).bits
-            mask = (1 << a) - 1
-            for idx, cand in enumerate(pool):
-                if not used[idx] and (cand.bits & mask) == want:
-                    used[idx] = True
-                    chosen.append(cand)
-                    break
-            else:
-                raise ValueError("no unused completion column available")
-    return _matrix_from_columns(delta + 1, chosen)
 
 
 def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile:
@@ -220,27 +262,29 @@ def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile
 
 
 def construct_near_optimal(n: int, delta: int):
-    """Near-optimal (n, 1, delta) code and its guaranteed lower-bound profile."""
+    """Near-optimal (n, 1, delta) code and its guaranteed lower-bound profile.
+
+    The r = n mod 2^delta leftover columns form nested blocks, one per
+    exponent a of r's binary decomposition, whose top a rows are the
+    dimension-a partial simplex; they are the first r canonical columns.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    m = n >> delta
-    r = n - (m << delta)
-    if r == 0:
-        return construct_rate_1_n(m, delta), predicted_profile_rate_1_n(
-            n, delta, delta
-        )
-    ext = _nested_extension(delta, binary_decomposition(r))
-    if m:
-        stack = hstack([m_fold(partial_simplex(delta + 1), m), ext])
-    else:
-        stack = ext
-    return stack_to_code(stack, 1, delta), near_optimal_bound_profile(n, delta, delta)
+    code = stack_to_code(_rate_1_stack(n, delta, tables=False), 1, delta)
+    if n % (1 << delta) == 0:
+        return code, predicted_profile_rate_1_n(n, delta, delta)
+    return code, near_optimal_bound_profile(n, delta, delta)
 
 
 # ---------------------------------------------------------------------------
 # Dimension k > 1
+
+# Largest extension search construct_k_dim_extended takes on, counted as
+# r extra columns * 2^delta*(2^k-1) candidates * 2^(delta+k) messages per
+# trial; about a second of work.
+EXTENSION_SEARCH_GUARD = 1 << 26
 
 
 def construct_k_dim(m: int, k: int, delta: int) -> ConvCode:
@@ -263,41 +307,48 @@ def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistancePr
     return DistanceProfile(values, None, "formula")
 
 
+def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
+    """The (delta+k)-row stack of construct_k_dim_extended."""
+    base_len = (1 << delta) * ((1 << k) - 1)
+    m, r = divmod(n, base_len)
+    if r == 0:
+        return m_fold(k_partial_simplex(k, delta), m)
+    cost = (r * base_len) << (delta + k)
+    if cost > EXTENSION_SEARCH_GUARD:
+        raise ValueError(
+            f"extension search of {cost} candidate messages exceeds the guard"
+        )
+    canon = k_partial_simplex(k, delta)
+    pool = [canon.column(j).bits for j in range(canon.cols)]
+    used = set()
+    rows = [0] * (delta + k)
+    for c in range(r):
+        best_idx, best_wt = None, -1
+        for idx, col in enumerate(pool):
+            if idx in used:
+                continue
+            trial = [row | (((col >> i) & 1) << c) for i, row in enumerate(rows)]
+            wt = min_weight_block_code(BitMatrix(c + 1, tuple(trial)))
+            if wt > best_wt:
+                best_idx, best_wt, best_rows = idx, wt, trial
+        used.add(best_idx)
+        rows = best_rows
+    ext = BitMatrix(r, tuple(rows))
+    return hstack([m_fold(canon, m), ext]) if m else ext
+
+
 def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
     """k-partial simplex base plus greedily chosen extra canonical columns.
 
     Each extra column maximizes, in turn, the minimum weight of the block
     code generated by the residual columns chosen so far (ties go to the
     smallest canonical column index).  Optimal only up to this search rule.
+    A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
+    before it starts.
     """
     if k < 1 or n < 1 or delta < 0:
         raise ValueError("invalid parameters")
-    base_len = (1 << delta) * ((1 << k) - 1)
-    m = n // base_len
-    r = n - m * base_len
-    if r == 0:
-        return construct_k_dim(m, k, delta)
-    canon = k_partial_simplex(k, delta)
-    pool = [canon.column(j) for j in range(canon.cols)]
-    used = [False] * len(pool)
-    chosen = []
-    for _ in range(r):
-        best_idx, best_wt = None, -1
-        for idx, cand in enumerate(pool):
-            if used[idx]:
-                continue
-            trial = _matrix_from_columns(delta + k, chosen + [cand])
-            wt = min_weight_block_code(trial)
-            if wt > best_wt:
-                best_idx, best_wt = idx, wt
-        used[best_idx] = True
-        chosen.append(pool[best_idx])
-    ext = _matrix_from_columns(delta + k, chosen)
-    if m:
-        stack = hstack([m_fold(canon, m), ext])
-    else:
-        stack = ext
-    return stack_to_code(stack, k, delta)
+    return stack_to_code(_k_dim_stack(n, k, delta), k, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -308,43 +359,24 @@ def construct(n: int, k: int, delta: int):
     """Build an (n, k, delta) code, returning it with a ConstructionPlan."""
     if n < 1 or k < 1 or delta < 0:
         raise ValueError("invalid parameters")
-    if k == 1:
-        base_len = 1 << delta
-    else:
-        base_len = (1 << delta) * ((1 << k) - 1)
-    m = n // base_len
-    r = n - m * base_len
+    base_len = (1 << delta) * ((1 << k) - 1)
+    m, r = divmod(n, base_len)
     exponents = ()
-    ext_cols = None
     if k == 1:
+        stack = _rate_1_stack(n, delta, tables=True)
         if r == 0:
-            code = construct_rate_1_n(m, delta)
             provenance = "rate-1/n exact"
         elif delta <= 4:
-            code = construct_extended(n, delta)
             provenance = f"table-backed extension, s={r}"
         else:
-            code, _ = construct_near_optimal(n, delta)
             exponents = binary_decomposition(r)
             provenance = "near-optimal"
     else:
-        if r == 0:
-            code = construct_k_dim(m, k, delta)
-            provenance = "k-dim exact"
-        else:
-            code = construct_k_dim_extended(n, k, delta)
-            provenance = "k-dim search extension"
+        stack = _k_dim_stack(n, k, delta)
+        provenance = "k-dim search extension" if r else "k-dim exact"
+    ext_cols = None
     if r:
-        stacked_rows = []
-        for i, g in enumerate(code.coeffs):
-            take = code.k if i < len(code.coeffs) - 1 else delta + k - k * code.mu
-            take = code.k if take == 0 else take
-            stacked_rows.extend(g.row_bits[:take])
-        shift = m * base_len
-        mask = ((1 << n) - 1) ^ ((1 << shift) - 1)
-        ext_cols = BitMatrix(
-            r, tuple((rb & mask) >> shift for rb in stacked_rows)
-        )
+        ext_cols = BitMatrix(r, tuple(rb >> (n - r) for rb in stack.row_bits))
     plan = ConstructionPlan(
         n=n,
         k=k,
@@ -354,4 +386,4 @@ def construct(n: int, k: int, delta: int):
         extension=ExtensionChoice(width=r, columns=ext_cols, exponents=exponents),
         provenance=provenance,
     )
-    return code, plan
+    return stack_to_code(stack, k, delta), plan

@@ -11,15 +11,15 @@ import time
 import pytest
 
 import convdist as cd
-from convdist.cli import (
+from convdist.construct import (
     DELTA2_S2_EXPECTED,
     DELTA2_S3_EXPECTED,
     OPT_ROWS_D3,
     WS3_EXPECTED,
     WT4_EXPECTED,
-    _d4_top,
     _expand_d4,
     _residual_code_profile,
+    recursive_partial_simplex_4,
 )
 from convdist.gf2core import BitMatrix
 
@@ -54,7 +54,7 @@ def test_criterion_02_delta4_weight_table_and_64_codes():
     expected = sorted(_expand_d4(r) for r in OPT_ROWS_D3)
     total = 0
     for g3 in OPT_ROWS_D3:
-        res = cd.search_optimal_row(_d4_top(g3))
+        res = cd.search_optimal_row(recursive_partial_simplex_4(g3))
         assert res.evaluated == 1 << 16
         assert res.profile[:15] == WT4_EXPECTED
         rows = [v.to_string() for v in res.optimal_rows]

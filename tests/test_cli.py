@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -19,6 +20,12 @@ class TestCodeFileFormat:
             text = format_code_file(code, comments=["round trip"])
             back = parse_code_file(text)
             assert back == code
+
+    def test_comment_line_breaks_stay_comments(self):
+        code, _ = construct(4, 1, 2)
+        text = format_code_file(code, comments=["x\x85y"])
+        assert "# x\n# y\n" in text
+        assert parse_code_file(text) == code
 
     def test_json_input(self):
         code, _ = construct(4, 1, 2)
@@ -96,6 +103,21 @@ class TestConstructCommand:
         assert out1 == out2
         payload = json.loads(out1)
         assert payload["n"] == 7 and payload["provenance"].startswith("table-backed")
+
+    def test_extension_search_guard(self, capsys):
+        t0 = time.monotonic()
+        rc, _, err = run(capsys, "construct", "5", "2", "30")
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "guard" in err
+
+    def test_deep_rate_1_n_is_built_in_closed_form(self, capsys):
+        t0 = time.monotonic()
+        rc, out, _ = run(capsys, "construct", "3", "1", "40", "--quiet")
+        assert time.monotonic() - t0 < 5.0
+        assert rc == 0
+        assert parse_code_file(out) == construct(3, 1, 40)[0]
 
     def test_unbuildable_parameters(self, capsys):
         rc, _, err = run(capsys, "construct", "0", "1", "1")
@@ -188,6 +210,13 @@ class TestVerifyOptimalCommand:
         assert rc == 2
         assert "not optimal" in out
 
+    def test_deep_code_meets_the_message_guard(self, capsys):
+        t0 = time.monotonic()
+        rc, _, err = run(capsys, "verify-optimal", "--params", "2", "1", "40")
+        assert time.monotonic() - t0 < 5.0
+        assert rc == 1
+        assert "message bits exceed the exhaustion guard" in err
+
     def test_requires_an_input(self, capsys):
         rc, _, err = run(capsys, "verify-optimal")
         assert rc == 1
@@ -205,10 +234,6 @@ class TestReproduceAndUsage:
 
     def test_unknown_subcommand(self, capsys):
         rc, _, _ = run(capsys, "frobnicate")
-        assert rc == 1
-
-    def test_bad_workers(self, capsys):
-        rc, _, err = run(capsys, "reproduce", "ws3", "--workers", "0")
         assert rc == 1
 
     def test_help_exits_zero(self, capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from convdist.construct import (
@@ -109,6 +110,51 @@ class TestExtended:
     def test_out_of_table_range(self):
         with pytest.raises(ValueError):
             construct_extended(9, 5)
+
+
+def nested_block_stack(m, r, delta):
+    """The paper's nested-block search, as the oracle for the closed form.
+
+    The m-fold S(delta+1)_1 is followed by one block per exponent a of r's
+    binary decomposition: the block's top a rows are S(a)_1, and each of its
+    columns is completed by the smallest unused canonical column of
+    S(delta+1)_1 that agrees with it on those rows.
+    """
+    ps = partial_simplex(delta + 1)
+    pool = np.array([ps.column(j).bits for j in range(ps.cols)])
+    free = np.ones(ps.cols, dtype=bool)
+    chosen = []
+    for a in binary_decomposition(r):
+        block = partial_simplex(a)
+        for j in range(block.cols):
+            want = block.column(j).bits
+            idx = np.flatnonzero(free & ((pool & ((1 << a) - 1)) == want))[0]
+            free[idx] = False
+            chosen.append(int(pool[idx]))
+    cols = [int(c) for c in pool] * m + chosen
+    rows = [0] * (delta + 1)
+    for j, col in enumerate(cols):
+        for i in range(delta + 1):
+            rows[i] |= ((col >> i) & 1) << j
+    return BitMatrix(len(cols), tuple(rows))
+
+
+class TestClosedFormColumns:
+    def test_near_optimal_matches_nested_block_search(self):
+        for delta in range(9):
+            for m in (0, 1):
+                for r in range(1 - m, 1 << delta):
+                    expected = stack_to_code(nested_block_stack(m, r, delta), 1, delta)
+                    code, _ = construct_near_optimal((m << delta) + r, delta)
+                    assert code == expected, (m, r, delta)
+
+    def test_small_delta_tables_are_the_nested_columns(self):
+        for delta in (1, 2):
+            for m in (0, 1):
+                for r in range(1 - m, 1 << delta):
+                    n = (m << delta) + r
+                    code, _ = construct_near_optimal(n, delta)
+                    assert construct_extended(n, delta) == code
 
 
 class TestNearOptimal:

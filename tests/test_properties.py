@@ -53,9 +53,10 @@ def test_noncatastrophic_matches_minor_gcd(c):
     assert is_noncatastrophic(c) == (g.bits == 1)
 
 
-# comments hold no line breaks: str.splitlines would split them into rows
+# comments may hold any character str.splitlines splits on
+line_breaks = st.sampled_from("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 comment_text = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20
+    st.characters(blacklist_categories=("Cs",)) | line_breaks, max_size=20
 )
 
 
