@@ -261,6 +261,7 @@ def cmd_verify_optimal(args) -> int:
         _emit_json(
             {
                 "optimal": verdict.optimal,
+                "optimal_through_delta": verdict.optimal_through_delta,
                 "horizon": verdict.horizon,
                 "tie_at_horizon": verdict.ties_at_horizon,
                 "witness": None
@@ -269,6 +270,8 @@ def cmd_verify_optimal(args) -> int:
             }
         )
     elif not args.quiet:
+        claim = "optimal" if verdict.optimal_through_delta else "not optimal"
+        print(f"{claim} through delta = {code.delta} (d_0..d_{code.delta})")
         if not verdict.optimal:
             print("not optimal; a better code to this horizon:")
             sys.stdout.write(format_code_file(verdict.witness))

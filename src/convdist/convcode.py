@@ -9,7 +9,6 @@ state tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -141,20 +140,51 @@ def _table_bits(entry_bits: int, n: int) -> int:
     return entry_bits + (-(-n // 64) - 1).bit_length()
 
 
-def _block_weight_luts(c: ConvCode, jmax: int):
-    """Weight lookup tables for the i-th output block as a function of the
-    window of message blocks u_{i-W}..u_i, W = min(i, mu).
+def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
+    """Weight of one output block as a function of the window of message
+    blocks u_i, u_{i-1}, ..., u_{i-D}, D = min(jmax, mu).
 
-    Window bit k*d + r is row r of message block u_{i-W+d}, which multiplies
-    G_{W-d}."""
-    bits = _table_bits(c.k * (min(jmax, c.mu) + 1), c.n)
+    Window bit k*e + r is row r of u_{i-e}, which multiplies G_e; the blocks
+    before u_0 are zero, so the entries with zero high blocks serve i < D."""
+    depth = min(jmax, c.mu)
+    bits = _table_bits(c.k * (depth + 1), c.n)
     if bits > STATE_GUARD_BITS:
         raise ValueError(f"{bits} weight-table bits exceed the memory guard")
-    luts = []
-    for w_blocks in range(min(jmax, c.mu) + 1):
-        rows = [c.coeffs[w_blocks - d].row_bits[r] for d in range(w_blocks + 1) for r in range(c.k)]
-        luts.append(np.bitwise_count(_xor_span(rows, c.n)).sum(axis=1, dtype=np.int64))
-    return luts
+    rows = [c.coeffs[e].row_bits[r] for e in range(depth + 1) for r in range(c.k)]
+    return np.bitwise_count(_xor_span(rows, c.n)).sum(axis=1, dtype=np.int64)
+
+
+def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
+    """Column distances of a batch of codes from their window-weight tables.
+
+    tables[b] is code b's output-block weight by window, as `_window_weights`
+    lays it out.  Entry (b, j) of the result is the least weight of output
+    blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  A prefix
+    is an int with u_0 in its top block, so the 2^k children of prefix p are
+    p * 2^k + u_{j+1}, and the window of a prefix is its low bits.  Prefixes
+    are expanded depth first, in pieces of at most 2^_CHUNK_BITS entries.
+    """
+    batch, size = tables.shape
+    mask = size - 1
+    dtype = np.min_scalar_type(int(tables.max()) * (jmax + 1))
+    tables = tables.astype(dtype, copy=False)
+    dist = np.full((batch, jmax + 1), np.iinfo(dtype).max, dtype=dtype)
+    piece = max(1, ((1 << _CHUNK_BITS) >> k) // batch)
+
+    def expand(cum, first, j):
+        """cum[:, x] is the weight of prefix first + x, of length j + 1."""
+        np.minimum(dist[:, j], cum.min(axis=1), out=dist[:, j])
+        if j == jmax:
+            return
+        for start in range(0, cum.shape[1], piece):
+            part = cum[:, start : start + piece]
+            child = (first + start) << k
+            win = np.arange(child, child + (part.shape[1] << k)) & mask
+            grown = part[:, :, None] + tables[:, win].reshape(batch, -1, 1 << k)
+            expand(grown.reshape(batch, -1), child, j + 1)
+
+    expand(tables[:, 1 : 1 << k], 1, 0)
+    return dist
 
 
 def column_distances_exhaustive(c: ConvCode, jmax: int):
@@ -166,25 +196,8 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
     bits = c.k * (jmax + 1)
     if bits > MESSAGE_GUARD_BITS:
         raise ValueError(f"{bits} message bits exceed the exhaustion guard")
-    luts = _block_weight_luts(c, jmax)
-    kmask = (1 << c.k) - 1
-    total = 1 << bits
-    dist = [math.inf] * (jmax + 1)
-    chunk = 1 << min(bits, _CHUNK_BITS)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        live = (idx & kmask) != 0
-        if not live.any():
-            continue
-        cum = np.zeros(len(idx), dtype=np.int64)
-        for i in range(jmax + 1):
-            w_blocks = min(i, c.mu)
-            win = (idx >> (c.k * (i - w_blocks))) & (
-                (1 << (c.k * (w_blocks + 1))) - 1
-            )
-            cum += luts[w_blocks][win]
-            dist[i] = min(dist[i], int(cum[live].min()))
-    return [int(d) for d in dist]
+    table = _window_weights(c, jmax)
+    return [int(d) for d in _min_weights(table[None, :], c.k, jmax)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 `search_optimal_row` scans every candidate bottom row of a stacked
 coefficient matrix and keeps the ones maximizing the prefix minimum-weight
-profile.  `verify_optimal` enumerates every coefficient sequence for given
-(n, k, delta) and decides whether a candidate's column-distance profile is
-lexicographically maximal up to a finite horizon.
+profile.  `optimal_codes_bruteforce` scores every delay-free (n, k, delta)
+code, one representative per column-permutation orbit, and keeps the
+lexicographically maximal column-distance profiles up to a finite horizon;
+`verify_optimal` decides from the same search whether a candidate's profile
+is maximal to the horizon, and whether its d_0..d_delta are.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -18,6 +21,7 @@ import numpy as np
 from .convcode import (
     ConvCode,
     DistanceProfile,
+    _min_weights,
     column_distances_exhaustive,
     internal_degree,
     is_delay_free,
@@ -26,7 +30,14 @@ from .gf2core import BitMatrix, BitVec
 
 ROW_SEARCH_GUARD_BITS = 24
 CODE_SEARCH_GUARD_BITS = 24
+# orbits x messages x steps of the largest brute force accepted
+BRUTEFORCE_WORK_GUARD = 1 << 30
+# Building one k > 1 orbit representative and running its two predicates
+# costs about 45 us, as much as 2^15 message steps of the batch kernel.
+_REPRESENTATIVE_WORK = 1 << 15
 _ROW_CHUNK = 1 << 18
+# orbits per batch: at most 2^_BATCH_BITS message prefixes in flight
+_BATCH_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,7 @@ class OptimalityVerdict:
     horizon: int
     witness: Optional[ConvCode]
     ties_at_horizon: bool
+    optimal_through_delta: bool
 
 
 def wt_profile(stacked: BitMatrix, widths) -> Tuple[int, ...]:
@@ -157,57 +169,133 @@ def search_optimal_row(top: BitMatrix, objective: str = "lex") -> RowSearchResul
 
 
 # ---------------------------------------------------------------------------
-# Brute-force optimality
+# Brute-force optimality over column-permutation orbits
+#
+# Column c's "tube" stacks it through G_0..G_delta: bit i*k + r is row r of
+# G_i.  A simultaneous column permutation reorders the tubes and keeps the
+# column distances, so the search visits one sorted n-tuple of tubes per
+# orbit, in lexicographic order, and scores the orbits in numpy batches.
 
 
-def _enumerate_codes(n: int, k: int, delta: int):
-    """Every delay-free coefficient sequence of degree exactly delta.
+def _orbit_chunks(values: int, n: int, rows: int):
+    """Every nondecreasing n-tuple over range(values), in lexicographic
+    order, as arrays of at most max(rows, 1) rows."""
+    orbits = itertools.combinations_with_replacement(range(values), n)
+    while chunk := list(itertools.islice(orbits, max(rows, 1))):
+        yield np.array(chunk, dtype=np.int64)
 
-    For k = 1 the degree equals the top coefficient index, so G_delta must be
-    nonzero.  For k > 1 trailing zero matrices are trimmed and the degree is
-    re-derived from the k x k minors.
-    """
+
+def _code_from_tubes(n: int, k: int, delta: int, tubes) -> ConvCode:
+    """The code whose column c is tubes[c], trailing zero G_i trimmed."""
+    coeffs = []
+    for i in range(delta + 1):
+        rows = tuple(
+            sum(((int(t) >> (i * k + r)) & 1) << c for c, t in enumerate(tubes))
+            for r in range(k)
+        )
+        coeffs.append(BitMatrix(n, rows))
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return ConvCode(n, k, tuple(coeffs), delta)
+
+
+def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
+    """Which orbits are delay-free codes of degree exactly delta.
+
+    For k = 1 that is G_0 != 0 and G_delta != 0; for k > 1 the predicates
+    run on each orbit's representative."""
+    n = tubes.shape[1]
+    if k == 1:
+        return ((tubes & 1).any(axis=1)) & (((tubes >> delta) & 1).any(axis=1))
+    keep = np.zeros(len(tubes), dtype=bool)
+    for b, row in enumerate(tubes):
+        code = _code_from_tubes(n, k, delta, row)
+        keep[b] = is_delay_free(code) and internal_degree(code) == delta
+    return keep
+
+
+def _tube_weights(tubes: np.ndarray, bits: int) -> np.ndarray:
+    """Window-weight tables of a batch of orbits: entry (b, w) is the sum
+    over columns c of parity(w & tubes[b, c]), for windows of `bits` bits."""
+    column_bits = np.int64(1) << np.arange(tubes.shape[1], dtype=np.int64)
+    span = np.zeros((len(tubes), 1 << bits), dtype=np.int64)
+    for i in range(bits):
+        half = 1 << i
+        # the n output bits that window bit i switches on, one word per orbit
+        word = ((tubes >> i) & 1) @ column_bits
+        np.bitwise_xor(span[:, :half], word[:, None], out=span[:, half : 2 * half])
+    return np.bitwise_count(span)
+
+
+def _scored_orbits(n: int, k: int, delta: int, horizon: int):
+    """Yield (tubes, profiles) chunks: every orbit of delay-free (n, k, delta)
+    codes in lexicographic order, with its d_0..d_horizon.
+
+    The cost guard runs before anything is enumerated.  The predicted work is
+    C(2^(k(delta+1)) + n - 1, n) orbits x 2^(k(J+1)) messages x (J + 1)
+    steps, J = max(horizon, delta), and for k > 1 each orbit also pays
+    _REPRESENTATIVE_WORK for its structural predicates.  A horizon below
+    delta is priced as delta: nearly every orbit can tie there, and each
+    tie becomes a code."""
     bits = k * n * (delta + 1)
     if bits > CODE_SEARCH_GUARD_BITS:
         raise ValueError(f"2^{bits} coefficient choices exceed the search guard")
-    row_space = range(1 << n)
-    mat_space = [
-        tuple(rows) for rows in itertools.product(row_space, repeat=k)
-    ]
-    for seq in itertools.product(mat_space, repeat=delta + 1):
-        if k == 1:
-            if seq[0][0] == 0 or (delta > 0 and seq[-1][0] == 0):
-                continue
-            coeffs = tuple(BitMatrix(n, m) for m in seq)
-            yield ConvCode(n, k, coeffs, delta)
-        else:
-            trimmed = list(seq)
-            while len(trimmed) > 1 and all(r == 0 for r in trimmed[-1]):
-                trimmed.pop()
-            if all(r == 0 for r in trimmed[-1]):
-                continue
-            coeffs = tuple(BitMatrix(n, m) for m in trimmed)
-            code = ConvCode(n, k, coeffs, delta)
-            if not is_delay_free(code):
-                continue
-            if internal_degree(code) != delta:
-                continue
-            yield code
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if k > n:
+        raise ValueError("empty enumeration space: no delay-free code has k > n")
+    tube_bits = k * (delta + 1)
+    orbits = math.comb((1 << tube_bits) + n - 1, n)
+    steps = max(horizon, delta) + 1
+    per_orbit = steps << (k * steps)
+    if k > 1:
+        per_orbit += _REPRESENTATIVE_WORK
+    if orbits * per_orbit > BRUTEFORCE_WORK_GUARD:
+        raise ValueError(
+            f"{orbits} orbits x 2^{k * steps} messages x {steps} steps "
+            "exceed the brute-force work guard"
+        )
+    window_bits = k * (min(horizon, delta) + 1)
+    rows = (1 << _BATCH_BITS) >> (k * (horizon + 1))
+    for tubes in _orbit_chunks(1 << tube_bits, n, rows):
+        tubes = tubes[_in_space(tubes, k, delta)]
+        if len(tubes):
+            yield tubes, _min_weights(_tube_weights(tubes, window_bits), k, horizon)
+
+
+def _lex_max_rows(profiles: np.ndarray) -> np.ndarray:
+    """Indices of the lexicographically largest rows of `profiles`."""
+    rows = np.arange(len(profiles))
+    for col in profiles.T:
+        vals = col[rows]
+        rows = rows[vals == vals.max()]
+    return rows
+
+
+def _best_orbits(scored, key_len: int):
+    """The lexicographically largest profile, and the tubes of every orbit
+    whose first key_len distances equal its own, in orbit order."""
+    best, achievers = None, []
+    for tubes, profiles in scored:
+        top = tuple(int(v) for v in profiles[_lex_max_rows(profiles)[0]])
+        if best is None or top[:key_len] > best[:key_len]:
+            best, achievers = top, []
+        elif top[:key_len] < best[:key_len]:
+            continue
+        best = max(best, top)
+        ties = (profiles[:, :key_len] == best[:key_len]).all(axis=1)
+        achievers.append(tubes[ties])
+    if best is None:
+        raise ValueError("empty enumeration space")
+    return best, np.concatenate(achievers)
 
 
 def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
-    """Lexicographically maximal profile over the space, with every achiever."""
-    best = None
-    achievers: list = []
-    for code in _enumerate_codes(n, k, delta):
-        profile = tuple(column_distances_exhaustive(code, horizon))
-        if best is None or profile > best:
-            best, achievers = profile, [code]
-        elif profile == best:
-            achievers.append(code)
-    if best is None:
-        raise ValueError("empty enumeration space")
-    return best, achievers
+    """Lexicographically maximal profile d_0..d_horizon over every delay-free
+    (n, k, delta) code, with one representative per column-permutation orbit
+    that achieves it, in lexicographic order of the sorted tubes."""
+    best, tubes = _best_orbits(_scored_orbits(n, k, delta, horizon), horizon + 1)
+    return best, [_code_from_tubes(n, k, delta, t) for t in tubes]
 
 
 def best_profile_bruteforce(n: int, k: int, delta: int, horizon: int):
@@ -219,8 +307,8 @@ def best_profile_bruteforce(n: int, k: int, delta: int, horizon: int):
 def codes_equivalent_by_column_permutation(a: ConvCode, b: ConvCode) -> bool:
     """True iff one fixed column permutation maps every G_i of a onto b's.
 
-    Works on the multiset of column "tubes" (a column stacked through all
-    coefficient matrices), which a simultaneous permutation reorders.
+    Works on the multiset of column tubes, which a simultaneous permutation
+    reorders.
     """
     if (a.n, a.k) != (b.n, b.k):
         return False
@@ -243,19 +331,23 @@ def _padded_tubes(c: ConvCode, mu: int):
 
 
 def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerdict:
-    """Decide whether c's profile is lexicographically maximal to the horizon.
+    """Decide whether c's profile is lexicographically maximal to the horizon,
+    and whether its d_0..d_delta are maximal (the paper's claim).
 
-    A tie is reported when some enumerated maximal code is not a column
-    permutation of c; such codes agree with c through the horizon but could
-    diverge beyond it.
+    One search to max(horizon, delta) answers both: the prefix of a
+    lexicographic maximum is the maximum of the prefixes.  A tie is reported
+    when some maximal orbit to the horizon is not c's own; such codes agree
+    with c through the horizon but could diverge beyond it.
     """
     if horizon is None:
         horizon = c.delta + 5
-    profile = tuple(column_distances_exhaustive(c, horizon))
-    best, achievers = optimal_codes_bruteforce(c.n, c.k, c.delta, horizon)
-    if profile < best:
-        return OptimalityVerdict(False, horizon, achievers[0], False)
-    ties = any(
-        not codes_equivalent_by_column_permutation(c, other) for other in achievers
-    )
-    return OptimalityVerdict(True, horizon, None, ties)
+    depth = max(horizon, c.delta)
+    profile = tuple(column_distances_exhaustive(c, depth))
+    best, tubes = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)
+    through_delta = not profile[: c.delta + 1] < best[: c.delta + 1]
+    if profile[: horizon + 1] < best[: horizon + 1]:
+        witness = _code_from_tubes(c.n, c.k, c.delta, tubes[0])
+        return OptimalityVerdict(False, horizon, witness, False, through_delta)
+    mine = np.array(_padded_tubes(c, max(c.mu, c.delta)))
+    ties = bool((tubes != mine).any(axis=1).any())
+    return OptimalityVerdict(True, horizon, None, ties, through_delta)

@@ -217,6 +217,28 @@ class TestVerifyOptimalCommand:
         assert rc == 1
         assert "message bits exceed the exhaustion guard" in err
 
+    def test_work_guard_refuses_before_enumerating(self, capsys):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "verify-optimal", "--params", "2", "1", "11")
+        assert time.monotonic() - t0 < 5.0
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "work guard" in err
+
+    def test_two_verdicts(self, capsys):
+        rc, out, _ = run(capsys, "verify-optimal", "--params", "5", "1", "2", "--json")
+        assert rc == 2
+        got = json.loads(out)
+        assert got["optimal"] is False
+        assert got["optimal_through_delta"] is True
+        rc, out, _ = run(capsys, "verify-optimal", "--params", "5", "1", "2")
+        assert rc == 2
+        assert "optimal through delta = 2 (d_0..d_2)" in out.splitlines()
+        rc, out, _ = run(capsys, "verify-optimal", "--params", "6", "1", "3")
+        assert rc == 2
+        assert "not optimal through delta = 3 (d_0..d_3)" in out.splitlines()
+
     def test_requires_an_input(self, capsys):
         rc, _, err = run(capsys, "verify-optimal")
         assert rc == 1

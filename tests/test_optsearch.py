@@ -1,8 +1,20 @@
+import itertools
+import time
+
 import pytest
 
-from convdist.convcode import ConvCode, column_distances_exhaustive
+from convdist import convcode, optsearch
+from convdist.construct import construct
+from convdist.convcode import (
+    ConvCode,
+    column_distances_exhaustive,
+    column_distances_trellis,
+    internal_degree,
+    is_delay_free,
+)
 from convdist.gf2core import BitMatrix
 from convdist.optsearch import (
+    _padded_tubes,
     best_profile_bruteforce,
     codes_equivalent_by_column_permutation,
     optimal_codes_bruteforce,
@@ -88,6 +100,29 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             optimal_codes_bruteforce(6, 1, 4, 5)
 
+    def test_work_guard_refuses_before_enumerating(self):
+        # 24 coefficient bits pass the bit guard, but C(4097, 2) orbits x 2^17
+        # messages x 17 steps do not pass the work guard
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="work guard"):
+            optimal_codes_bruteforce(2, 1, 11, 16)
+        with pytest.raises(ValueError, match="work guard"):
+            verify_optimal(construct(2, 1, 11)[0])
+        # a horizon below delta is priced as delta
+        with pytest.raises(ValueError, match="work guard"):
+            optimal_codes_bruteforce(1, 1, 23, 0)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_k_above_n_is_refused_before_enumerating(self):
+        with pytest.raises(ValueError, match="empty enumeration space"):
+            optimal_codes_bruteforce(2, 3, 1, 1)
+
+    def test_one_representative_per_orbit_in_order(self):
+        best, achievers = optimal_codes_bruteforce(3, 2, 1, 6)
+        orbits = [tuple(_padded_tubes(a, 1)) for a in achievers]
+        assert orbits == sorted(set(orbits))
+        assert all(column_distances_exhaustive(a, 6) == list(best) for a in achievers)
+
 
 class TestEquivalence:
     def test_permutation_detected(self):
@@ -126,3 +161,149 @@ class TestVerifyOptimal:
     def test_horizon_override(self):
         verdict = verify_optimal(code_from_rows(["11", "10"]), horizon=3)
         assert verdict.horizon == 3
+
+
+# ---------------------------------------------------------------------------
+# The brute force over coefficient sequences, one ConvCode per sequence, kept
+# as the oracle for the orbit search.
+
+
+def _enumerate_codes(n, k, delta):
+    """Every delay-free coefficient sequence of degree exactly delta.
+
+    For k = 1 the degree equals the top coefficient index, so G_delta must be
+    nonzero.  For k > 1 trailing zero matrices are trimmed and the degree is
+    re-derived from the k x k minors.
+    """
+    mat_space = list(itertools.product(range(1 << n), repeat=k))
+    for seq in itertools.product(mat_space, repeat=delta + 1):
+        if k == 1:
+            if seq[0][0] == 0 or (delta > 0 and seq[-1][0] == 0):
+                continue
+            yield ConvCode(n, k, tuple(BitMatrix(n, m) for m in seq), delta)
+        else:
+            trimmed = list(seq)
+            while len(trimmed) > 1 and all(r == 0 for r in trimmed[-1]):
+                trimmed.pop()
+            if all(r == 0 for r in trimmed[-1]):
+                continue
+            code = ConvCode(n, k, tuple(BitMatrix(n, m) for m in trimmed), delta)
+            if is_delay_free(code) and internal_degree(code) == delta:
+                yield code
+
+
+def sequence_search(n, k, delta, horizon):
+    """Lexicographically maximal profile and every achieving sequence."""
+    best, achievers = None, []
+    for code in _enumerate_codes(n, k, delta):
+        profile = tuple(column_distances_exhaustive(code, horizon))
+        if best is None or profile > best:
+            best, achievers = profile, [code]
+        elif profile == best:
+            achievers.append(code)
+    return best, achievers
+
+
+def orbit_set(codes, delta):
+    return {tuple(_padded_tubes(c, delta)) for c in codes}
+
+
+ORACLE_CASES = [
+    (n, k, delta, horizon)
+    for k in (1, 2)
+    for delta in range(1, 10)
+    for n in range(k, 11)
+    if k * n * (delta + 1) <= 10
+    for horizon in (delta, delta + 5)
+] + [(3, 2, 1, 2)]
+
+
+@pytest.mark.parametrize("n,k,delta,horizon", ORACLE_CASES)
+def test_orbit_search_matches_sequence_search(n, k, delta, horizon):
+    ref_best, ref_codes = sequence_search(n, k, delta, horizon)
+    best, achievers = optimal_codes_bruteforce(n, k, delta, horizon)
+    assert best == ref_best
+    orbits = [tuple(_padded_tubes(a, delta)) for a in achievers]
+    assert len(orbits) == len(set(orbits))
+    assert set(orbits) == orbit_set(ref_codes, delta)
+    if n <= k:
+        return
+    code, _ = construct(n, k, delta)
+    profile = tuple(column_distances_exhaustive(code, horizon))
+    verdict = verify_optimal(code, horizon)
+    assert verdict.optimal == (not profile < ref_best)
+    assert verdict.optimal_through_delta == (not profile[: delta + 1] < ref_best[: delta + 1])
+    if verdict.optimal:
+        ref_ties = any(not codes_equivalent_by_column_permutation(code, c) for c in ref_codes)
+        assert verdict.ties_at_horizon == ref_ties
+    else:
+        assert orbit_set([verdict.witness], delta) <= orbit_set(ref_codes, delta)
+
+
+def test_orbit_chunks_cover_every_multiset_in_order():
+    for values, n, rows in [(4, 3, 5), (8, 2, 3), (5, 1, 2), (3, 4, 100), (16, 3, 0)]:
+        chunks = list(optsearch._orbit_chunks(values, n, rows))
+        assert all(len(chunk) <= max(rows, 1) for chunk in chunks)
+        got = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert got == list(itertools.combinations_with_replacement(range(values), n))
+
+
+def test_small_batches_and_pieces_give_the_same_search(monkeypatch):
+    """Orbit chunks of a few rows and kernel pieces of a few prefixes split
+    every level; the results must not depend on where the splits fall."""
+    cases = [(5, 1, 2, 7), (3, 1, 3, 3), (3, 2, 1, 2), (2, 1, 4, 9)]
+    expected = [optimal_codes_bruteforce(*case) for case in cases]
+    monkeypatch.setattr(optsearch, "_BATCH_BITS", 9)
+    monkeypatch.setattr(convcode, "_CHUNK_BITS", 5)
+    for case, (best, achievers) in zip(cases, expected):
+        got_best, got = optimal_codes_bruteforce(*case)
+        assert got_best == best
+        assert [a.coeffs for a in got] == [a.coeffs for a in achievers]
+    code, _ = construct(3, 1, 4)
+    assert column_distances_exhaustive(code, 12) == column_distances_trellis(code, 12)
+
+
+# ---------------------------------------------------------------------------
+# The paper's claim: optimal d_0..d_delta, over every covered (n, 1, delta)
+
+
+def test_optimal_through_delta_but_not_to_delta_plus_5():
+    """A known limit of the stronger claim: the (5,1,2) construction has
+    optimal d_0..d_2 but is not lexicographically optimal to j = 7."""
+    t0 = time.monotonic()
+    code, _ = construct(5, 1, 2)
+    verdict = verify_optimal(code)
+    assert verdict.optimal_through_delta
+    assert not verdict.optimal
+    assert column_distances_exhaustive(code, 7)[4] == 11
+    assert column_distances_exhaustive(verdict.witness, 7)[4] == 12
+    assert time.monotonic() - t0 < 2.0
+
+
+# (n, delta) -> (the construction's d_0..d_delta, the optimum).  Both are
+# table-backed extensions with m = 0 that fall one short at j = delta.
+KNOWN_SHORTFALLS = {
+    (6, 3): ((6, 9, 11, 13), (6, 9, 11, 14)),
+    (4, 4): ((4, 6, 8, 9, 9), (4, 6, 8, 9, 10)),
+}
+
+
+def test_paper_claim_over_every_covered_rate_1_n_code():
+    t0 = time.monotonic()
+    shortfalls = {}
+    for delta in range(1, 5):
+        for n in range(2, 24 // (delta + 1) + 1):
+            code, _ = construct(n, 1, delta)
+            verdict = verify_optimal(code)
+            if not verdict.optimal_through_delta:
+                mine = tuple(column_distances_exhaustive(code, delta))
+                best = tuple(column_distances_exhaustive(verdict.witness, delta))
+                shortfalls[n, delta] = (mine, best)
+    assert shortfalls == KNOWN_SHORTFALLS
+    assert time.monotonic() - t0 < 30.0
+
+
+def test_shortfall_witness_agrees_across_oracles():
+    witness = code_from_rows(["111111", "010101", "001101", "000011"])
+    assert column_distances_trellis(witness, 3) == [6, 9, 11, 14]
+    assert column_distances_exhaustive(witness, 3) == [6, 9, 11, 14]

@@ -1,15 +1,25 @@
-"""Property tests: the structural predicates against the k x k minors, and
-the code file format round trip and parser robustness."""
+"""Property tests: the structural predicates against the k x k minors, the
+batch column-distance kernel against the trellis, and the code file format
+round trip and parser robustness."""
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from convdist.cli import code_to_json_dict, format_code_file, parse_code_file
-from convdist.convcode import ConvCode, internal_degree, is_noncatastrophic
+from convdist.convcode import (
+    ConvCode,
+    _min_weights,
+    column_distances_trellis,
+    internal_degree,
+    is_delay_free,
+    is_noncatastrophic,
+)
 from convdist.gf2core import BitMatrix, k_minors, poly_gcd
+from convdist.optsearch import _code_from_tubes, _tube_weights
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -51,6 +61,33 @@ def test_noncatastrophic_matches_minor_gcd(c):
     for m in minors[1:]:
         g = poly_gcd(g, m)
     assert is_noncatastrophic(c) == (g.bits == 1)
+
+
+@st.composite
+def tube_batches(draw):
+    """A batch of up to four sorted multisets of n column tubes of one
+    (n, k, delta) space, and a jmax."""
+    k = draw(st.integers(1, 2))
+    delta = draw(st.integers(0, 4 if k == 1 else 2))
+    n = draw(st.integers(k, 5))
+    tube = st.integers(0, (1 << (k * (delta + 1))) - 1)
+    multiset = st.lists(tube, min_size=n, max_size=n).map(sorted)
+    batch = draw(st.lists(multiset, min_size=1, max_size=4))
+    return n, k, delta, draw(st.integers(0, delta + 3)), batch
+
+
+@PROPERTY_SETTINGS
+@given(tube_batches())
+def test_batch_kernel_matches_trellis(case):
+    n, k, delta, jmax, batch = case
+    codes = [_code_from_tubes(n, k, delta, tubes) for tubes in batch]
+    keep = [is_delay_free(c) for c in codes]
+    assume(any(keep))
+    tubes = np.array([t for t, ok in zip(batch, keep) if ok], dtype=np.int64)
+    tables = _tube_weights(tubes, k * (min(jmax, delta) + 1))
+    profiles = _min_weights(tables, k, jmax)
+    for code, profile in zip([c for c, ok in zip(codes, keep) if ok], profiles):
+        assert [int(d) for d in profile] == column_distances_trellis(code, jmax)
 
 
 # comments may hold any character str.splitlines splits on
