@@ -19,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .convcode import (
+    _CHUNK_BITS,
     ConvCode,
     DistanceProfile,
     distance_profile,
@@ -27,7 +30,7 @@ from .convcode import (
     is_noncatastrophic,
 )
 from .gf2core import BitMatrix, hstack
-from .simplex import k_partial_simplex, m_fold, min_weight_block_code, partial_simplex
+from .simplex import k_partial_simplex, m_fold, partial_simplex
 
 # ---------------------------------------------------------------------------
 # Reference tables
@@ -319,20 +322,24 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
             f"extension search of {cost} candidate messages exceeds the guard"
         )
     canon = k_partial_simplex(k, delta)
-    pool = [canon.column(j).bits for j in range(canon.cols)]
-    used = set()
+    msg_type = np.min_scalar_type((1 << (delta + k)) - 1)
+    messages = np.arange(1, 1 << (delta + k), dtype=msg_type)
+    pool = np.array([canon.column(j).bits for j in range(canon.cols)], dtype=msg_type)
+    free = np.ones(len(pool), dtype=bool)
+    # weight[u]: weight of message u's codeword on the columns chosen so far
+    weight = np.zeros(len(messages), dtype=np.min_scalar_type(r))
+    piece = max(1, (1 << _CHUNK_BITS) // len(messages))  # candidates scored at once
     rows = [0] * (delta + k)
     for c in range(r):
-        best_idx, best_wt = None, -1
-        for idx, col in enumerate(pool):
-            if idx in used:
-                continue
-            trial = [row | (((col >> i) & 1) << c) for i, row in enumerate(rows)]
-            wt = min_weight_block_code(BitMatrix(c + 1, tuple(trial)))
-            if wt > best_wt:
-                best_idx, best_wt, best_rows = idx, wt, trial
-        used.add(best_idx)
-        rows = best_rows
+        cands = np.flatnonzero(free)
+        score = np.concatenate([
+            (weight[:, None] + (np.bitwise_count(messages[:, None] & pool[part]) & 1)).min(axis=0)
+            for part in np.split(cands, range(piece, len(cands), piece))
+        ])
+        best = cands[np.argmax(score)]  # ties go to the smallest index
+        free[best] = False
+        weight += np.bitwise_count(messages & pool[best]) & 1
+        rows = [row | (((int(pool[best]) >> i) & 1) << c) for i, row in enumerate(rows)]
     ext = BitMatrix(r, tuple(rows))
     return hstack([m_fold(canon, m), ext]) if m else ext
 

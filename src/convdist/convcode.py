@@ -14,13 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf2core import BitMatrix, PolyMatrix, poly_divmod, poly_mul, rank, vstack
-from .simplex import min_weight_block_code
+from .gf2core import (
+    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, PolyMatrix, guard_table, poly_divmod,
+    poly_mul, rank, span_weights, table_bits, xor_span,
+)
 
 MESSAGE_GUARD_BITS = 30
-STATE_GUARD_BITS = 24
 _CHUNK_BITS = 22
-_WORD_MASK = (1 << 64) - 1
 # Unreached states sit at _INF.  Path weights are int32, which is exact while
 # _INF + n * (j + 1) < 2^31, that is for every d_j below 2^30.
 _INF = np.int32(1 << 30)
@@ -122,24 +122,6 @@ def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
     return BitMatrix((j + 1) * c.n, tuple(rows))
 
 
-def _xor_span(rows, n: int) -> np.ndarray:
-    """Entry i is the XOR of the n-bit `rows` selected by the bits of i, as
-    little-endian uint64 words: shape (2^len(rows), ceil(n / 64))."""
-    words = max(1, -(-n // 64))
-    span = np.zeros((1 << len(rows), words), dtype=np.uint64)
-    for i, r in enumerate(rows):
-        half = 1 << i
-        row = np.array([(r >> (64 * w)) & _WORD_MASK for w in range(words)], dtype=np.uint64)
-        np.bitwise_xor(span[:half], row, out=span[half : 2 * half])
-    return span
-
-
-def _table_bits(entry_bits: int, n: int) -> int:
-    """log2, rounded up, of the uint64 words in a table of 2^entry_bits
-    entries of n-bit outputs, ceil(n / 64) words each."""
-    return entry_bits + (-(-n // 64) - 1).bit_length()
-
-
 def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
     """Weight of one output block as a function of the window of message
     blocks u_i, u_{i-1}, ..., u_{i-D}, D = min(jmax, mu).
@@ -147,11 +129,9 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
     Window bit k*e + r is row r of u_{i-e}, which multiplies G_e; the blocks
     before u_0 are zero, so the entries with zero high blocks serve i < D."""
     depth = min(jmax, c.mu)
-    bits = _table_bits(c.k * (depth + 1), c.n)
-    if bits > STATE_GUARD_BITS:
-        raise ValueError(f"{bits} weight-table bits exceed the memory guard")
+    guard_table(c.k * (depth + 1), c.n, "weight-table")
     rows = [c.coeffs[e].row_bits[r] for e in range(depth + 1) for r in range(c.k)]
-    return np.bitwise_count(_xor_span(rows, c.n)).sum(axis=1, dtype=np.int64)
+    return span_weights(xor_span(rows, c.n))
 
 
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
@@ -213,17 +193,19 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 def _fits_state_tables(c: ConvCode) -> bool:
     """Whether the 2^(memory + k) branches, with their n-bit outputs counted
     in words, fit STATE_GUARD_BITS."""
-    return _table_bits(external_degree(c) + c.k, c.n) <= STATE_GUARD_BITS
+    return table_bits(external_degree(c) + c.k, c.n) <= STATE_GUARD_BITS
 
 
 def _state_tables(c: ConvCode):
     """Branch weights bw[u, s] and predecessors pred[d, t] = u * 2^memory + s,
     the flat index of the branch (s, u) into t that drops the bits d."""
-    if not _fits_state_tables(c):
-        bits = external_degree(c) + c.k
-        raise ValueError(f"{bits} state-table bits at n = {c.n} exceed the memory guard")
+    guard_table(external_degree(c) + c.k, c.n, "state-table")
     k, nus = c.k, row_degrees(c)
     memory = sum(nus)
+    # Span bit i < memory is state bit i, bit memory + r is u_r.
+    rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(1, nu + 1)]
+    rows += c.coeffs[0].row_bits
+    bw = span_weights(xor_span(rows, c.n), np.int32).reshape(1 << k, 1 << memory)
     # Inverse of the branch map: register r of t holds u_r in its lowest bit
     # and the newer bits of s's register above it; d_r is s's oldest bit.
     t = np.arange(1 << memory, dtype=np.int32)
@@ -239,13 +221,7 @@ def _state_tables(c: ConvCode):
         else:
             from_d |= ((d >> r) & 1) << (memory + r)
         off += nu
-    pred = from_d[:, None] | from_t
-    state_rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(1, nu + 1)]
-    out_state = _xor_span(state_rows, c.n)
-    bw = np.empty_like(pred)
-    for u, word in enumerate(_xor_span(c.coeffs[0].row_bits, c.n)):
-        bw[u] = np.bitwise_count(out_state ^ word).sum(axis=1, dtype=np.int32)
-    return bw, pred
+    return bw, from_d[:, None] | from_t
 
 
 def _min_plus_step(cur, bw, pred, leave_zero: bool = False):
@@ -472,36 +448,28 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
 
     lower[j] accumulates, over i <= j, the restricted minimum weight of the
     block code stacked as (G_i; ...; G_0) with the top k message coordinates
-    not all zero; upper[j] is the best row-weight sum over i <= min(j, delta);
-    cap[j] = n*(min(j, delta) + 1).
+    not all zero; upper[j] is the best row-weight sum over i <= min(j, mu);
+    cap[j] = n*(min(j, max(delta, mu)) + 1).
     """
     if not is_delay_free(c):
         raise ValueError("bounds need a delay-free generator matrix")
-    lower = []
-    acc = 0
-    for i in range(jmax + 1):
-        if i <= c.mu:
-            stacked = vstack([c.coeff(t) for t in range(i, -1, -1)])
-            acc += min_weight_block_code(stacked, restrict_top_nonzero=c.k)
-        # for i > mu the increment is 0: take u = (u_0, 0, ..., 0)
-        lower.append(acc)
-    # For a row-reduced matrix every row degree is <= delta, so summing to
-    # min(j, delta) is exact; a non-row-reduced row may keep contributing up
-    # to mu, hence the max.
+    # Increment i <= mu is the least window weight with a nonzero block of
+    # G_i and zero later blocks; for i > mu it is 0: take u = (u_0, 0, ..., 0).
+    table, k = _window_weights(c, jmax), c.k
+    lower = np.cumsum([table[1 << (i * k) : 1 << (i * k + k)].min()
+                       for i in range(min(jmax, c.mu) + 1)])
+    # upper[j]: the lightest row r of G_0..G_min(j, mu), from u_0 = e_r.
+    # For a row-reduced matrix every row degree is <= delta, so the cap sums
+    # to min(j, delta); a non-row-reduced row may keep contributing up to mu,
+    # hence the max.
+    row_weights = [[row.bit_count() for row in g.row_bits] for g in c.coeffs]
+    upper = np.cumsum(row_weights, axis=0).min(axis=1)
     reach = max(c.delta, c.mu)
-    upper = []
-    for j in range(jmax + 1):
-        upper.append(
-            min(
-                sum(c.coeff(i).row_bits[r].bit_count() for i in range(min(j, reach) + 1))
-                for r in range(c.k)
-            )
-        )
     cap = tuple(c.n * (min(j, reach) + 1) for j in range(jmax + 1))
     col = tuple(column_bound(c.n, c.k, j) for j in range(jmax + 1))
     return BoundReport(
-        lower=tuple(lower),
-        upper=tuple(upper),
+        lower=tuple(int(lower[min(j, c.mu)]) for j in range(jmax + 1)),
+        upper=tuple(int(upper[min(j, c.mu)]) for j in range(jmax + 1)),
         cap=cap,
         column_bounds=col,
         singleton=singleton_bound(c.n, c.k, c.delta),

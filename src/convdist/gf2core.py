@@ -4,7 +4,8 @@ Vectors and matrix rows are stored as Python ints with coordinate 0 in the
 least significant bit, so Hamming weights are popcounts and row operations
 are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the int 0 is the zero polynomial, which keeps
-it distinct from the constant polynomial 1.
+it distinct from the constant polynomial 1.  Every codeword-weight
+enumeration in the package goes through one numpy kernel, `xor_span`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+# Largest table a span may fill: 2^TABLE_GUARD_BITS uint64 words.
+TABLE_GUARD_BITS = 24
+_WORD_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -205,6 +212,48 @@ def vstack(ms: Sequence[BitMatrix]) -> BitMatrix:
     for m in ms:
         rows.extend(m.row_bits)
     return BitMatrix(cols, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# XOR spans: every codeword of a block code at once
+
+
+def table_bits(entry_bits: int, n: int) -> int:
+    """log2, rounded up, of the uint64 words in a table of 2^entry_bits
+    entries of n-bit outputs, ceil(n / 64) words each."""
+    return entry_bits + (-(-n // 64) - 1).bit_length()
+
+
+def guard_table(entry_bits: int, n: int, what: str) -> None:
+    """Refuse, before anything is allocated, a table past TABLE_GUARD_BITS."""
+    bits = table_bits(entry_bits, n)
+    if bits > TABLE_GUARD_BITS:
+        raise ValueError(f"{bits} {what} bits exceed the memory guard")
+
+
+def xor_span(rows, n: int) -> np.ndarray:
+    """Entry i is the XOR of the n-bit `rows` selected by the bits of i, as
+    little-endian uint64 words: shape (2^len(rows), ceil(n / 64)).  An
+    integer array of shape (batch, r), n <= 64, gives one span per batch
+    entry: shape (batch, 2^r, 1)."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.astype(np.uint64)[..., None]
+    else:
+        shifts = range(0, max(64, n), 64)
+        rows = np.array([[(r >> s) & _WORD_MASK for s in shifts] for r in rows], dtype=np.uint64)
+        rows = rows.reshape(-1, len(shifts))
+    *batch, r, words = rows.shape
+    span = np.zeros((*batch, 1 << r, words), dtype=np.uint64)
+    for i in range(r):
+        half = 1 << i
+        np.bitwise_xor(span[..., :half, :], rows[..., i : i + 1, :],
+                       out=span[..., half : 2 * half, :])
+    return span
+
+
+def span_weights(span: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Hamming weight of every entry of an `xor_span` table."""
+    return np.bitwise_count(span).sum(axis=-1, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

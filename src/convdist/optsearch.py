@@ -26,7 +26,7 @@ from .convcode import (
     internal_degree,
     is_delay_free,
 )
-from .gf2core import BitMatrix, BitVec
+from .gf2core import BitMatrix, BitVec, guard_table, span_weights, xor_span
 
 ROW_SEARCH_GUARD_BITS = 24
 CODE_SEARCH_GUARD_BITS = 24
@@ -62,36 +62,18 @@ class OptimalityVerdict:
 
 def wt_profile(stacked: BitMatrix, widths) -> Tuple[int, ...]:
     """For each s: minimum weight of the code generated by the first s columns."""
-    nrows = stacked.rows
+    nrows, n = stacked.rows, stacked.cols
     if nrows == 0:
         raise ValueError("empty matrix")
-    if nrows > 30:
-        raise ValueError(f"{nrows} message bits exceed the exhaustion guard")
-    codewords = []
-    cw = 0
-    prev = 0
-    rows = stacked.row_bits
-    for i in range(1, 1 << nrows):
-        g = i ^ (i >> 1)
-        cw ^= rows[(g ^ prev).bit_length() - 1]
-        prev = g
-        codewords.append(cw)
+    guard_table(nrows, n, "block-code table")
+    codewords = xor_span(stacked.row_bits, n)[1:]
     out = []
     for s in widths:
-        if not 0 < s <= stacked.cols:
+        if not 0 < s <= n:
             raise ValueError(f"width {s} out of range")
-        mask = (1 << s) - 1
-        out.append(min((c & mask).bit_count() for c in codewords))
+        prefix = xor_span([(1 << s) - 1], n)[1]  # the words of the s-bit mask
+        out.append(int(span_weights(codewords & prefix).min()))
     return tuple(out)
-
-
-def _row_combos(rows) -> np.ndarray:
-    """All 2^len(rows) XOR combinations, indexed by the selection mask."""
-    combos = np.zeros(1 << len(rows), dtype=np.uint64)
-    for i, r in enumerate(rows):
-        half = 1 << i
-        combos[half : 2 * half] = combos[:half] ^ np.uint64(r)
-    return combos
 
 
 def search_optimal_row(top: BitMatrix, objective: str = "lex") -> RowSearchResult:
@@ -107,12 +89,10 @@ def search_optimal_row(top: BitMatrix, objective: str = "lex") -> RowSearchResul
     width = top.cols
     if width > ROW_SEARCH_GUARD_BITS:
         raise ValueError(f"2^{width} candidates exceed the search guard")
-    combos = _row_combos(top.row_bits)
-    fixed = combos[1:]  # nonzero combinations of the top rows alone
+    combos = xor_span(top.row_bits, width)[:, 0]
     masks = [np.uint64((1 << s) - 1) for s in range(1, width + 1)]
-    fixed_min = np.array(
-        [int(np.bitwise_count(fixed & m).min()) for m in masks], dtype=np.int64
-    )
+    # minimum weights of the nonzero combinations of the top rows alone
+    fixed_min = wt_profile(top, range(1, width + 1))
 
     best_rows: list = []
     best_profile = None
@@ -217,14 +197,11 @@ def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
 def _tube_weights(tubes: np.ndarray, bits: int) -> np.ndarray:
     """Window-weight tables of a batch of orbits: entry (b, w) is the sum
     over columns c of parity(w & tubes[b, c]), for windows of `bits` bits."""
-    column_bits = np.int64(1) << np.arange(tubes.shape[1], dtype=np.int64)
-    span = np.zeros((len(tubes), 1 << bits), dtype=np.int64)
-    for i in range(bits):
-        half = 1 << i
-        # the n output bits that window bit i switches on, one word per orbit
-        word = ((tubes >> i) & 1) @ column_bits
-        np.bitwise_xor(span[:, :half], word[:, None], out=span[:, half : 2 * half])
-    return np.bitwise_count(span)
+    n = tubes.shape[1]
+    column_bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    # row i of orbit b: the n output bits that window bit i switches on
+    rows = ((tubes[:, None, :] >> np.arange(bits)[:, None]) & 1) @ column_bits
+    return span_weights(xor_span(rows, n), np.uint8)
 
 
 def _scored_orbits(n: int, k: int, delta: int, horizon: int):

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2core import BitMatrix, hstack
-
-EXHAUSTION_GUARD_BITS = 30
-_VECTOR_ROW_LIMIT = 22  # numpy fast path: 2^22 codewords fit comfortably
+from .gf2core import BitMatrix, guard_table, hstack, span_weights, xor_span
 
 
 def _canonical_columns(k_top: int, bottom: int) -> BitMatrix:
@@ -118,42 +115,13 @@ def min_weight_block_code(
     """Minimum weight over nonzero messages, by exhaustion over 2^rows - 1.
 
     With restrict_top_nonzero = k_top > 0, only messages whose first k_top
-    coordinates are not all zero are considered.  Messages are walked in
-    Gray-code order so each step is a single row XOR.
+    coordinates are not all zero are considered.  The 2^rows codewords are
+    one XOR span, refused past the table guard before it is built.
     """
     nrows = m_mat.rows
     if nrows == 0:
         raise ValueError("empty matrix")
-    if nrows > EXHAUSTION_GUARD_BITS:
-        raise ValueError(f"{nrows} message bits exceed the exhaustion guard")
-    top_mask = (1 << restrict_top_nonzero) - 1
-    rows = m_mat.row_bits
-    if nrows <= _VECTOR_ROW_LIMIT and m_mat.cols <= 63:
-        combos = np.zeros(1 << nrows, dtype=np.uint64)
-        for i, r in enumerate(rows):
-            half = 1 << i
-            combos[half : 2 * half] = combos[:half] ^ np.uint64(r)
-        weights = np.bitwise_count(combos)
-        if top_mask:
-            live = (np.arange(1 << nrows) & top_mask) != 0
-        else:
-            live = np.ones(1 << nrows, dtype=bool)
-            live[0] = False
-        if not live.any():
-            raise ValueError("restriction excludes every nonzero message")
-        return int(weights[live].min())
-    best = None
-    cw = 0
-    prev = 0
-    for i in range(1, 1 << nrows):
-        g = i ^ (i >> 1)
-        cw ^= rows[(g ^ prev).bit_length() - 1]
-        prev = g
-        if top_mask and not (g & top_mask):
-            continue
-        w = cw.bit_count()
-        if best is None or w < best:
-            best = w
-    if best is None:
-        raise ValueError("restriction excludes every nonzero message")
-    return best
+    guard_table(nrows, m_mat.cols, "block-code table")
+    weights = span_weights(xor_span(m_mat.row_bits, m_mat.cols))
+    top_mask = (1 << restrict_top_nonzero) - 1 or -1  # -1: any nonzero message
+    return int(weights[(np.arange(1 << nrows) & top_mask) != 0].min())

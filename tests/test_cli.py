@@ -196,6 +196,18 @@ class TestBoundsCommand:
         rc, _, _ = run(capsys, "bounds", "2", "2", "1")
         assert rc == 1
 
+    def test_deep_code_meets_the_table_guard(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        path.write_text("2 1 25\n11\n" + "00\n" * 24 + "10\n")
+        t0 = time.monotonic()
+        rc, out, err = run(
+            capsys, "bounds", "2", "1", "25", "--in", str(path), "--jmax", "25"
+        )
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "guard" in err
+
 
 class TestVerifyOptimalCommand:
     def test_optimal_construction(self, capsys):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import convdist
 
 from convdist.construct import (
     OPT_ROW_D3,
@@ -25,8 +31,8 @@ from convdist.convcode import (
     is_noncatastrophic,
     is_row_reduced,
 )
-from convdist.gf2core import BitMatrix
-from convdist.simplex import m_fold, partial_simplex
+from convdist.gf2core import BitMatrix, hstack
+from convdist.simplex import k_partial_simplex, m_fold, min_weight_block_code, partial_simplex
 
 
 def coeff_strings(code):
@@ -250,3 +256,66 @@ class TestDispatcher:
         for n, free in [(5, 11), (6, 13), (7, 15), (8, 16)]:
             code, _ = construct(n, 1, 2)
             assert free_distance(code) == free
+
+
+def per_candidate_extension(k, delta, r):
+    """Rows of the r greedy extra columns, by trying every unused canonical
+    column in turn and keeping the first that maximizes the minimum weight
+    of the block code of the columns chosen so far."""
+    canon = k_partial_simplex(k, delta)
+    pool = [canon.column(j).bits for j in range(canon.cols)]
+    used = set()
+    rows = [0] * (delta + k)
+    for c in range(r):
+        best_idx, best_wt = None, -1
+        for idx, col in enumerate(pool):
+            if idx in used:
+                continue
+            trial = [row | (((col >> i) & 1) << c) for i, row in enumerate(rows)]
+            wt = min_weight_block_code(BitMatrix(c + 1, tuple(trial)))
+            if wt > best_wt:
+                best_idx, best_wt, best_rows = idx, wt, trial
+        used.add(best_idx)
+        rows = best_rows
+    return rows
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_extension_matches_per_candidate_search(k):
+    for delta in range(5):
+        canon = k_partial_simplex(k, delta)
+        base = canon.cols
+        # a greedy step never looks ahead, so r columns are a prefix of base - 1
+        full = per_candidate_extension(k, delta, base - 1)
+        for n in range(1, 2 * base):
+            m, r = divmod(n, base)
+            parts = [m_fold(canon, m)] if m else []
+            if r:
+                parts.append(BitMatrix(r, tuple(row & ((1 << r) - 1) for row in full)))
+            expected = _outcome(stack_to_code, hstack(parts), k, delta)
+            assert _outcome(construct_k_dim_extended, n, k, delta) == expected, (n, k, delta)
+
+
+def test_largest_admitted_extension_stays_small():
+    # (6145, 2, 11), just inside EXTENSION_SEARCH_GUARD: one extra column
+    # scored over 6144 candidates x 8191 messages.  The child reads its peak
+    # RSS from VmHWM: Linux carries the forking process's RSS into ru_maxrss
+    # across exec, so ru_maxrss would report the test runner's size.
+    src = os.path.dirname(os.path.dirname(convdist.__file__))
+    script = (
+        "import convdist; convdist.construct(6145, 2, 11); "
+        "print(next(line.split()[1] for line in open('/proc/self/status') "
+        "if line.startswith('VmHWM:')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(out.stdout) < 64 * 1024  # VmHWM is in KiB

@@ -128,7 +128,7 @@ class TestDistances:
         def no_tables(*args):
             raise AssertionError("state tables built past the guard")
 
-        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        monkeypatch.setattr(convcode, "xor_span", no_tables)
         with pytest.raises(ValueError, match="guard"):
             column_distances_trellis(c, 2)
         with pytest.raises(ValueError, match="guard"):
@@ -147,7 +147,7 @@ class TestDistances:
         def no_tables(*args):
             raise AssertionError("state tables built past the guard")
 
-        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        monkeypatch.setattr(convcode, "xor_span", no_tables)
         with pytest.raises(ValueError, match="guard"):
             column_distances_trellis(c, 2)
         monkeypatch.undo()
@@ -162,7 +162,7 @@ class TestDistances:
         def no_tables(*args):
             raise AssertionError("weight tables built past the guard")
 
-        monkeypatch.setattr(convcode, "_xor_span", no_tables)
+        monkeypatch.setattr(convcode, "xor_span", no_tables)
         t0 = time.monotonic()
         with pytest.raises(ValueError, match="guard"):
             column_distances_exhaustive(c, 25)
@@ -272,7 +272,7 @@ class TestBounds:
 def test_xor_span_matches_vec_mat_mul():
     rng = random.Random(70)
     m = BitMatrix(70, tuple(rng.getrandbits(70) for _ in range(6)))
-    span = convcode._xor_span(m.row_bits, 70)
+    span = convcode.xor_span(m.row_bits, 70)
     assert span.shape == (64, 2)
     for i, (lo, hi) in enumerate(span.tolist()):
         assert lo | (hi << 64) == vec_mat_mul(BitVec(6, i), m).bits

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from convdist.gf2core import (
@@ -11,10 +14,14 @@ from convdist.gf2core import (
     k_minors,
     poly_gcd,
     rank,
+    span_weights,
     vec_mat_mul,
     vstack,
     weight,
+    xor_span,
 )
+from convdist.optsearch import _tube_weights, wt_profile
+from convdist.simplex import min_weight_block_code
 
 
 class TestBitVec:
@@ -125,3 +132,30 @@ class TestPolyMatrix:
         assert [m.bits for m in k_minors(g)] == [1, 0b10, 0b11]
         with pytest.raises(ValueError):
             k_minors(PolyMatrix(2, 1, ((Poly2(1),), (Poly2(1),))))
+
+
+class TestXorSpan:
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_block_code_weights_at_word_boundaries(self, n):
+        rng = random.Random(n)
+        # a lone top bit makes the minimum 1, whichever word it lands in
+        rows = [rng.getrandbits(n) for _ in range(5)] + [1 << (n - 1), (1 << n) - 1]
+        m = BitMatrix(n, tuple(rows))
+        words = [vec_mat_mul(BitVec(m.rows, u), m).bits for u in range(1 << m.rows)]
+        assert min_weight_block_code(m) == min(w.bit_count() for w in words[1:]) == 1
+        for top in (1, 2, 5):
+            live = [w.bit_count() for u, w in enumerate(words) if u & ((1 << top) - 1)]
+            assert min_weight_block_code(m, restrict_top_nonzero=top) == min(live)
+        widths = range(1, n + 1)
+        expected = tuple(
+            min((w & ((1 << s) - 1)).bit_count() for w in words[1:]) for s in widths
+        )
+        assert wt_profile(m, widths) == expected
+
+    def test_bit_63_has_weight_one(self):
+        assert span_weights(xor_span([1 << 63], 64)).tolist() == [0, 1]
+        batch = np.array([[1 << 63, 1]], dtype=np.uint64)
+        assert span_weights(xor_span(batch, 64)).tolist() == [[0, 1, 1, 2]]
+        # columns 0 and 63 both switched on by window bit 0
+        tubes = np.array([[1] + [0] * 62 + [1]])
+        assert _tube_weights(tubes, 1).tolist() == [[0, 2]]

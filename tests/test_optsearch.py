@@ -162,6 +162,18 @@ class TestVerifyOptimal:
         verdict = verify_optimal(code_from_rows(["11", "10"]), horizon=3)
         assert verdict.horizon == 3
 
+    def test_non_row_reduced_matrix_ties_with_its_own_orbit(self):
+        # [g1; g2 + z*g1] generates the (3, 2, 0) even-weight code, the one
+        # optimal orbit; with mu = 1 > delta its tubes match no enumerated
+        # orbit, so the verdict reports a tie although one orbit achieves it.
+        g0 = BitMatrix.from_strings(["110", "011"])
+        reduced = ConvCode(3, 2, (g0,), 0)
+        lifted = ConvCode(3, 2, (g0, BitMatrix.from_strings(["000", "110"])), 0)
+        assert len(optimal_codes_bruteforce(3, 2, 0, 5)[1]) == 1
+        assert not verify_optimal(reduced).ties_at_horizon
+        verdict = verify_optimal(lifted)
+        assert verdict.optimal and verdict.ties_at_horizon
+
 
 # ---------------------------------------------------------------------------
 # The brute force over coefficient sequences, one ConvCode per sequence, kept
