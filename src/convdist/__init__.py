@@ -45,11 +45,7 @@ from .construct import (
 from .gf2core import (
     BitMatrix,
     BitVec,
-    Poly2,
-    PolyMatrix,
     hstack,
-    k_minors,
-    poly_gcd,
     rank,
     vec_mat_mul,
     vstack,

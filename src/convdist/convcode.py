@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf2core import (
-    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, PolyMatrix, guard_table, poly_divmod,
+    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, poly_divmod,
     poly_mul, rank, span_weights, table_bits, xor_span,
 )
 
@@ -60,9 +60,6 @@ class ConvCode:
         if i <= self.mu:
             return self.coeffs[i]
         return BitMatrix.zeros(self.k, self.n)
-
-    def to_poly_matrix(self) -> PolyMatrix:
-        return PolyMatrix.from_coeffs(list(self.coeffs))
 
     def permute_columns(self, perm: Sequence[int]) -> "ConvCode":
         """Apply one column permutation to every coefficient matrix."""
@@ -336,15 +333,17 @@ def _dependent_rows(vecs) -> int:
     return 0
 
 
-def internal_degree(c: ConvCode) -> Optional[int]:
-    """Max degree of the k x k minors, or None if all minors vanish.
+def _row_reduce(c: ConvCode) -> list:
+    """The rows of a row-reduced generator matrix of c's code, or rows that
+    include a zero one if all k x k minors of G(z) vanish.
 
     Unimodular row operations keep every minor, so G(z) is row-reduced in
     place: while the leading-row-coefficient matrix is singular, the row of
     largest degree in a dependent set S takes the z-shifted sum of S, which
-    lowers its degree.  Once that matrix has full rank, the row degrees sum
-    to the internal degree (Forney 1975).  Row r is packed into one int, the
-    z^i coefficient of entry j at bit i*n + j.
+    lowers its degree.  Each step adds z^t times other rows (t >= 0) to one
+    row, an elementary row operation on G_0 when t = 0, so G_0 keeps its
+    rank.  Row r is packed into one int, the z^i coefficient of entry j at bit
+    i*n + j.
     """
     if c.k > c.n:
         raise ValueError("need k <= n")
@@ -354,13 +353,25 @@ def internal_degree(c: ConvCode) -> Optional[int]:
         nus = [(g.bit_length() - 1) // n for g in rows]
         dep = _dependent_rows([g >> (nu * n) for g, nu in zip(rows, nus)])
         if not dep:
-            return sum(nus)
+            break
         members = [i for i in range(c.k) if dep >> i & 1]
         top = max(members, key=nus.__getitem__)
         for i in members:
             if i != top:
                 rows[top] ^= rows[i] << ((nus[top] - nus[i]) * n)
-    return None
+    return rows
+
+
+def internal_degree(c: ConvCode) -> Optional[int]:
+    """Max degree of the k x k minors, or None if all minors vanish.
+
+    Once G(z) is row-reduced, its row degrees sum to the internal degree
+    (Forney 1975).
+    """
+    rows = _row_reduce(c)
+    if not all(rows):
+        return None
+    return sum((g.bit_length() - 1) // c.n for g in rows)
 
 
 def is_row_reduced(c: ConvCode) -> bool:

@@ -1,8 +1,9 @@
 """Exhaustive searches: residual-row optimization and optimality oracles.
 
-`search_optimal_row` scans every candidate bottom row of a stacked
-coefficient matrix and keeps the ones maximizing the prefix minimum-weight
-profile.  `optimal_codes_bruteforce` scores every delay-free (n, k, delta)
+`search_optimal_row` finds every bottom row of a stacked coefficient matrix
+that maximizes the prefix minimum-weight profile, growing the surviving
+prefixes one bit at a time under the package's memory guard.
+`optimal_codes_bruteforce` scores every delay-free (n, k, delta)
 code, one representative per column-permutation orbit, and keeps the
 lexicographically maximal column-distance profiles up to a finite horizon;
 `verify_optimal` decides from the same search whether a candidate's profile
@@ -22,27 +23,27 @@ from .convcode import (
     ConvCode,
     DistanceProfile,
     _min_weights,
+    _row_reduce,
     column_distances_exhaustive,
     internal_degree,
     is_delay_free,
 )
 from .gf2core import BitMatrix, BitVec, guard_table, span_weights, xor_span
 
-ROW_SEARCH_GUARD_BITS = 24
 CODE_SEARCH_GUARD_BITS = 24
 # orbits x messages x steps of the largest brute force accepted
 BRUTEFORCE_WORK_GUARD = 1 << 30
 # Building one k > 1 orbit representative and running its two predicates
 # costs about 45 us, as much as 2^15 message steps of the batch kernel.
 _REPRESENTATIVE_WORK = 1 << 15
-_ROW_CHUNK = 1 << 18
 # orbits per batch: at most 2^_BATCH_BITS message prefixes in flight
 _BATCH_BITS = 22
 
 
 @dataclass(frozen=True)
 class RowSearchResult:
-    """Rows achieving the best prefix minimum-weight profile."""
+    """Rows achieving the best prefix minimum-weight profile; `evaluated` is
+    the size of the candidate space searched, 2^width."""
 
     optimal_rows: tuple
     profile: tuple
@@ -76,75 +77,37 @@ def wt_profile(stacked: BitMatrix, widths) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def search_optimal_row(top: BitMatrix, objective: str = "lex") -> RowSearchResult:
-    """Scan all rows g of length top.cols and keep the profile maximizers.
+def search_optimal_row(top: BitMatrix) -> RowSearchResult:
+    """Every row g of length top.cols that maximizes wt^1..wt^cols of
+    [top; g] lexicographically, in ascending integer order.
 
-    With objective="lex" the full profile wt^1..wt^cols of [top; g] is
-    maximized lexicographically; with objective="final" only wt^cols is
-    maximized (the reported profile is then the lexicographic best among the
-    selected rows).
+    wt^s depends only on the first s bits of g, so the rows that are best on
+    wt^1..wt^s are the s-bit prefixes of the final maximizers.  Step s
+    extends every surviving prefix by bit s - 1, scores wt^s of both
+    extensions against the XOR span of `top`, and keeps the maximizers.
+    A step whose table (2 x survivors x 2^rows words) would pass the memory
+    guard is refused before it is built.
     """
-    if objective not in ("lex", "final"):
-        raise ValueError(f"unknown objective {objective!r}")
     width = top.cols
-    if width > ROW_SEARCH_GUARD_BITS:
-        raise ValueError(f"2^{width} candidates exceed the search guard")
+    if width > 64:
+        raise ValueError(f"a {width}-bit row does not fit one 64-bit word")
+    guard_table(top.rows + 1, width, "row-search step")
     combos = xor_span(top.row_bits, width)[:, 0]
-    masks = [np.uint64((1 << s) - 1) for s in range(1, width + 1)]
-    # minimum weights of the nonzero combinations of the top rows alone
-    fixed_min = wt_profile(top, range(1, width + 1))
-
-    best_rows: list = []
-    best_profile = None
-    total = 1 << width
-    for start in range(0, total, _ROW_CHUNK):
-        cands = np.arange(start, min(start + _ROW_CHUNK, total), dtype=np.uint64)
-        x = cands[:, None] ^ combos[None, :]
-        prof = np.empty((len(cands), width), dtype=np.int64)
-        for s, m in enumerate(masks):
-            prof[:, s] = np.minimum(
-                np.bitwise_count(x & m).min(axis=1), fixed_min[s]
-            )
-        if objective == "final":
-            order = [width - 1] + list(range(width - 1))
-        else:
-            order = list(range(width))
-        live = np.ones(len(cands), dtype=bool)
-        key = []
-        for s in order:
-            col = prof[live, s]
-            mx = int(col.max())
-            key.append(mx)
-            live[live] = col == mx
-            if objective == "final":
-                break
-        if objective == "final":
-            # among the final-value maximizers, report the lex-best profile
-            sub = prof[live]
-            sub_live = np.ones(len(sub), dtype=bool)
-            for s in range(width):
-                col = sub[sub_live, s]
-                mx = int(col.max())
-                sub_live[sub_live] = col == mx
-            chunk_profile = tuple(int(v) for v in sub[sub_live][0])
-            chunk_key = (key[0],)
-        else:
-            chunk_profile = tuple(key)
-            chunk_key = tuple(key)
-        chunk_rows = [int(v) for v in cands[live]]
-        prev_key = (
-            None
-            if best_profile is None
-            else ((best_profile[-1],) if objective == "final" else best_profile)
-        )
-        if prev_key is None or chunk_key > prev_key:
-            best_profile, best_rows = chunk_profile, chunk_rows
-        elif chunk_key == prev_key:
-            best_rows.extend(chunk_rows)
+    survivors = np.zeros(1, dtype=np.uint64)
+    profile = []
+    for s in range(width):
+        guard_table(top.rows + (2 * len(survivors) - 1).bit_length(), width, "row-search step")
+        cands = np.concatenate([survivors, survivors | np.uint64(1 << s)])
+        prefixes = combos & np.uint64((1 << (s + 1)) - 1)
+        # codewords that use g, then the nonzero ones that do not
+        wt = np.bitwise_count(prefixes[:, None] ^ cands).min(axis=0)
+        wt = np.minimum(wt, np.bitwise_count(prefixes[1:]).min(initial=s + 1))
+        profile.append(int(wt.max()))
+        survivors = cands[wt == profile[-1]]
     return RowSearchResult(
-        optimal_rows=tuple(BitVec(width, r) for r in best_rows),
-        profile=best_profile,
-        evaluated=total,
+        optimal_rows=tuple(BitVec(width, int(r)) for r in survivors),
+        profile=tuple(profile),
+        evaluated=1 << width,
     )
 
 
@@ -294,17 +257,18 @@ def codes_equivalent_by_column_permutation(a: ConvCode, b: ConvCode) -> bool:
 
 
 def _padded_tubes(c: ConvCode, mu: int):
-    tubes = []
-    for j in range(c.n):
-        bits = 0
-        pos = 0
-        for i in range(mu + 1):
-            g = c.coeff(i)
-            for r in range(c.k):
-                bits |= ((g.row_bits[r] >> j) & 1) << pos
-                pos += 1
-        tubes.append(bits)
-    return sorted(tubes)
+    """c's sorted column tubes through G_mu."""
+    rows = [sum(g.row_bits[r] << (i * c.n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
+    return _tubes(rows, c.n, c.k, mu)
+
+
+def _tubes(rows, n: int, k: int, mu: int):
+    """Sorted column tubes through G_mu of the k rows of G(z), row r packed
+    with the z^i coefficient of entry j at bit i*n + j."""
+    return sorted(
+        sum((g >> (i * n + j) & 1) << (i * k + r) for i in range(mu + 1) for r, g in enumerate(rows))
+        for j in range(n)
+    )
 
 
 def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerdict:
@@ -313,8 +277,9 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
 
     One search to max(horizon, delta) answers both: the prefix of a
     lexicographic maximum is the maximum of the prefixes.  A tie is reported
-    when some maximal orbit to the horizon is not c's own; such codes agree
-    with c through the horizon but could diverge beyond it.
+    when some maximal orbit to the horizon is not the orbit of c's
+    row-reduced form; such codes agree with c through the horizon but could
+    diverge beyond it.
     """
     if horizon is None:
         horizon = c.delta + 5
@@ -325,6 +290,8 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     if profile[: horizon + 1] < best[: horizon + 1]:
         witness = _code_from_tubes(c.n, c.k, c.delta, tubes[0])
         return OptimalityVerdict(False, horizon, witness, False, through_delta)
-    mine = np.array(_padded_tubes(c, max(c.mu, c.delta)))
+    # the search enumerates c's orbit through the tubes of its row-reduced form
+    rows = _row_reduce(c)
+    mine = np.array(_tubes(rows, c.n, c.k, max(c.delta, (max(rows).bit_length() - 1) // c.n)))
     ties = bool((tubes != mine).any(axis=1).any())
     return OptimalityVerdict(True, horizon, None, ties, through_delta)

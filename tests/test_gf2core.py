@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from convdist.gf2core import (
-    POLY_ONE,
-    POLY_ZERO,
     BitMatrix,
     BitVec,
-    Poly2,
-    PolyMatrix,
     hstack,
-    k_minors,
-    poly_gcd,
     rank,
     span_weights,
     vec_mat_mul,
@@ -22,6 +16,7 @@ from convdist.gf2core import (
 )
 from convdist.optsearch import _tube_weights, wt_profile
 from convdist.simplex import min_weight_block_code
+from poly_oracle import POLY_ONE, POLY_ZERO, Poly2, PolyMatrix, k_minors, poly_gcd
 
 
 class TestBitVec:

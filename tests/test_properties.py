@@ -18,8 +18,9 @@ from convdist.convcode import (
     is_delay_free,
     is_noncatastrophic,
 )
-from convdist.gf2core import BitMatrix, k_minors, poly_gcd
+from convdist.gf2core import BitMatrix
 from convdist.optsearch import _code_from_tubes, _tube_weights
+from poly_oracle import PolyMatrix, k_minors, poly_gcd
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -38,7 +39,7 @@ def codes(draw):
 
 
 def minors_of(c):
-    return [m for m in k_minors(c.to_poly_matrix()) if not m.is_zero()]
+    return [m for m in k_minors(PolyMatrix.from_coeffs(c.coeffs)) if not m.is_zero()]
 
 
 @PROPERTY_SETTINGS
