@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .convcode import (
     _CHUNK_BITS,
     ConvCode,
     DistanceProfile,
     distance_profile,
     free_distance,
+    internal_degree,
     is_noncatastrophic,
 )
-from .gf2core import BitMatrix, hstack
+from .gf2core import BitMatrix, hstack, np
 from .simplex import k_partial_simplex, m_fold, partial_simplex
 
 # ---------------------------------------------------------------------------
@@ -129,12 +128,22 @@ class ConstructionPlan:
     provenance: str
 
 
+def _check_parameters(n: int, k: int, delta: int) -> None:
+    """Refuse (n, k, delta) that no code has, before any work."""
+    if n < 1 or k < 1 or delta < 0:
+        raise ValueError("invalid parameters")
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k} > n={n}")
+
+
 def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
     """Slice a (delta+k)-row stacked matrix into coefficient matrices.
 
     G_0..G_{mu-1} take k rows each; the remaining delta+k-k*mu rows become
-    the top of G_mu, whose last rows are padded with zeros.
+    the top of G_mu, whose last rows are padded with zeros.  A stack whose
+    code has internal degree other than delta is refused.
     """
+    _check_parameters(stack.cols, k, delta)
     if stack.rows != delta + k:
         raise ValueError("stacked matrix must have delta+k rows")
     n = stack.cols
@@ -144,12 +153,14 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
         coeffs.append(BitMatrix(n, stack.row_bits[i * k : (i + 1) * k]))
     tilde = stack.row_bits[mu * k :]
     if tilde:
-        if all(r == 0 for r in tilde):
-            raise ValueError("chosen columns cannot realize degree delta")
         coeffs.append(BitMatrix(n, tuple(tilde) + (0,) * (k - len(tilde))))
-    elif delta > 0 and coeffs[-1].is_zero():
-        raise ValueError("chosen columns cannot realize degree delta")
-    return ConvCode(n, k, tuple(coeffs), delta)
+    code = ConvCode(n, k, tuple(coeffs), delta)
+    degree = internal_degree(code)
+    if degree != delta:
+        raise ValueError(
+            f"chosen columns cannot realize degree {delta}: internal degree is {degree}"
+        )
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +364,7 @@ def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
     A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
     before it starts.
     """
-    if k < 1 or n < 1 or delta < 0:
-        raise ValueError("invalid parameters")
+    _check_parameters(n, k, delta)
     return stack_to_code(_k_dim_stack(n, k, delta), k, delta)
 
 
@@ -364,8 +374,7 @@ def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
 
 def construct(n: int, k: int, delta: int):
     """Build an (n, k, delta) code, returning it with a ConstructionPlan."""
-    if n < 1 or k < 1 or delta < 0:
-        raise ValueError("invalid parameters")
+    _check_parameters(n, k, delta)
     base_len = (1 << delta) * ((1 << k) - 1)
     m, r = divmod(n, base_len)
     exponents = ()

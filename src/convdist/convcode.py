@@ -12,18 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .gf2core import (
-    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, poly_divmod,
-    poly_mul, rank, span_weights, table_bits, xor_span,
+    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, np,
+    poly_divmod, poly_mul, rank, span_weights, table_bits, xor_span,
 )
 
 MESSAGE_GUARD_BITS = 30
 _CHUNK_BITS = 22
-# Unreached states sit at _INF.  Path weights are int32, which is exact while
-# _INF + n * (j + 1) < 2^31, that is for every d_j below 2^30.
-_INF = np.int32(1 << 30)
+# Unreached states sit at _INF.  The state tables hold int32 path weights,
+# which are exact while _INF + n * (j + 1) < 2^31, that is for every d_j
+# below 2^30.
+_INF = 1 << 30
 
 
 @dataclass(frozen=True)

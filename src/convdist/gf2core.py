@@ -6,14 +6,38 @@ are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the package needs only their product and
 division.  Every codeword-weight enumeration in the package goes through
 one numpy kernel, `xor_span`.
+
+numpy is bound here, and only here, as `np`: the other modules import it
+from this one.  Unless numpy was already imported, it loads on the first
+attribute access, so the integer-only paths (construction of rate-1/n codes,
+the structural predicates, code-file parsing) never pay for it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy itself if already imported, else a module that executes numpy
+    on its first attribute access.  It is registered in sys.modules, so a
+    later `import numpy` anywhere gets the same module."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("convdist requires numpy", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 # Largest table a span may fill: 2^TABLE_GUARD_BITS uint64 words.
 TABLE_GUARD_BITS = 24
@@ -250,7 +274,7 @@ def xor_span(rows, n: int) -> np.ndarray:
     return span
 
 
-def span_weights(span: np.ndarray, dtype=np.int64) -> np.ndarray:
+def span_weights(span: np.ndarray, dtype="int64") -> np.ndarray:
     """Hamming weight of every entry of an `xor_span` table."""
     return np.bitwise_count(span).sum(axis=-1, dtype=dtype)
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from .convcode import (
     ConvCode,
     DistanceProfile,
@@ -28,7 +26,9 @@ from .convcode import (
     internal_degree,
     is_delay_free,
 )
-from .gf2core import BitMatrix, BitVec, guard_table, span_weights, xor_span
+from .gf2core import (
+    _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
+)
 
 CODE_SEARCH_GUARD_BITS = 24
 # orbits x messages x steps of the largest brute force accepted
@@ -72,7 +72,8 @@ def wt_profile(stacked: BitMatrix, widths) -> Tuple[int, ...]:
     for s in widths:
         if not 0 < s <= n:
             raise ValueError(f"width {s} out of range")
-        prefix = xor_span([(1 << s) - 1], n)[1]  # the words of the s-bit mask
+        mask = (1 << s) - 1
+        prefix = np.array([mask >> w & _WORD_MASK for w in range(0, n, 64)], dtype=np.uint64)
         out.append(int(span_weights(codewords & prefix).min()))
     return tuple(out)
 

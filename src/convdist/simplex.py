@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gf2core import BitMatrix, guard_table, hstack, span_weights, xor_span
+from .gf2core import BitMatrix, guard_table, hstack, np, span_weights, xor_span
 
 
 def _canonical_columns(k_top: int, bottom: int) -> BitMatrix:

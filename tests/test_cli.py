@@ -124,6 +124,14 @@ class TestConstructCommand:
         assert rc == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("params", [("3", "5", "1"), ("4", "2", "3")])
+    def test_refused_parameters_write_nothing(self, tmp_path, capsys, params):
+        # k > n, and a k > 1 extension whose columns fall below degree delta
+        path = tmp_path / "c.txt"
+        rc, out, err = run(capsys, "construct", *params, "--out", str(path))
+        assert rc == 1 and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestProfileCommand:
     def test_profile_with_free(self, tmp_path, capsys):

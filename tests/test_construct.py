@@ -7,6 +7,7 @@ import pytest
 
 import convdist
 
+from convdist.cli import format_code_file, parse_code_file
 from convdist.construct import (
     OPT_ROW_D3,
     OPT_ROW_D4,
@@ -250,6 +251,28 @@ class TestDispatcher:
             construct(0, 1, 1)
         with pytest.raises(ValueError):
             construct(4, 1, -1)
+
+    def test_small_parameter_sets_are_built_or_refused(self):
+        # k > n is refused before any work; every code returned is delay-free,
+        # has internal degree delta, and survives the code-file round trip
+        built = 0
+        for k in range(1, 5):
+            for n in range(1, 13):
+                for delta in range(5):
+                    if k > n:
+                        for build in (construct, construct_k_dim_extended):
+                            with pytest.raises(ValueError, match="k <= n"):
+                                build(n, k, delta)
+                        continue
+                    try:
+                        code, _ = construct(n, k, delta)
+                    except ValueError:
+                        continue
+                    assert is_delay_free(code), (n, k, delta)
+                    assert internal_degree(code) == delta, (n, k, delta)
+                    assert parse_code_file(format_code_file(code)) == code
+                    built += 1
+        assert built == 155  # 55 of the 210 sets with k <= n fall below delta
 
     def test_free_distances_of_small_family(self):
         # closed-form limits for the delta=2 extension family

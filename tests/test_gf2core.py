@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import convdist
 from convdist.gf2core import (
     BitMatrix,
     BitVec,
@@ -154,3 +159,51 @@ class TestXorSpan:
         # columns 0 and 63 both switched on by window bit 0
         tubes = np.array([[1] + [0] * 62 + [1]])
         assert _tube_weights(tubes, 1).tolist() == [[0, 2]]
+
+
+class TestLazyNumpy:
+    """numpy is bound once, in gf2core, and loads on its first use."""
+
+    @staticmethod
+    def run_fresh(script):
+        src = os.path.dirname(os.path.dirname(convdist.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+
+    def test_integer_paths_never_load_numpy(self, tmp_path):
+        path = str(tmp_path / "c.txt")
+        out = self.run_fresh(f"""
+            import sys
+            def loaded():
+                print("numpy._core" in sys.modules)
+            import convdist
+            loaded()
+            from convdist.cli import main
+            loaded()
+            assert main(["construct", "9", "1", "2", "--out", {path!r}, "--quiet"]) == 0
+            loaded()
+            assert main(["check", {path!r}, "--quiet"]) == 0
+            loaded()
+            # a numeric path does load it, so the probe can tell
+            assert main(["profile", {path!r}, "--quiet"]) == 0
+            loaded()
+        """)
+        assert out == ["False"] * 4 + ["True"]
+
+    def test_numpy_works_whichever_is_imported_first(self):
+        out = self.run_fresh("""
+            import convdist
+            import numpy
+            print(numpy.zeros(2).sum() == 0)
+        """)
+        assert out == ["True"]
+        out = self.run_fresh("""
+            import sys
+            import numpy
+            from convdist.gf2core import np
+            print(np is numpy, type(np) is type(sys))
+        """)
+        assert out == ["True", "True"]
