@@ -28,8 +28,6 @@ from .convcode import (
     sliding_matrix,
 )
 from .construct import (
-    ConstructionPlan,
-    ExtensionChoice,
     binary_decomposition,
     construct,
     construct_extended,
@@ -62,10 +60,9 @@ from .optsearch import (
     wt_profile,
 )
 from .simplex import (
-    SimplexFamilySpec,
+    canonical_stack,
     k_partial_simplex,
     m_fold,
-    min_weight_block_code,
     partial_simplex,
     simplex_generator,
 )

@@ -122,9 +122,8 @@ def _emit_json(d: dict) -> None:
 
 
 def cmd_construct(args) -> int:
-    code, plan = build_code(args.n, args.k, args.delta)
-    provenance = plan.provenance
-    if args.json or args.format == "json":
+    code, provenance = build_code(args.n, args.k, args.delta)
+    if args.json:
         payload = json.dumps(
             code_to_json_dict(code, provenance=provenance),
             sort_keys=True,
@@ -222,7 +221,11 @@ def cmd_check(args) -> int:
 def cmd_bounds(args) -> int:
     if args.n <= args.k or args.k < 1:
         raise ValueError("bounds need n > k >= 1")
+    if args.delta < 0:
+        raise ValueError("delta must be >= 0")
     jmax = args.jmax if args.jmax is not None else args.delta + 5
+    if jmax < 0:
+        raise ValueError("jmax must be >= 0")
     out = {
         "n": args.n,
         "k": args.k,
@@ -366,7 +369,7 @@ def cmd_reproduce(args) -> int:
         "opt-rows-d4": _reproduce_opt_rows_d4,
         "delta2-cases": _reproduce_delta2_cases,
     }
-    ok, got, expected = dispatch[args.table](args.quiet and not args.json)
+    ok, got, expected = dispatch[args.table](args.quiet or args.json)
     if args.json:
         _emit_json({"table": args.table, "match": ok})
     if not ok:
@@ -397,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("k", type=int)
     pc.add_argument("delta", type=int)
     pc.add_argument("--out", metavar="PATH")
-    pc.add_argument("--format", choices=["text", "json"], default="text")
     pc.set_defaults(func=cmd_construct)
 
     pp = sub.add_parser("profile", parents=[common])

@@ -1,23 +1,21 @@
 """Constructions of binary convolutional codes from partial simplex codes.
 
-Every rate-1/n code is stacked from the canonical columns of the partial
-simplex S(delta+1)_1: column j of the stack is (1, ~j_0, ..., ~j_{delta-1}),
-with j_i bit i of j, so an (n, 1, delta) stack costs O(n*delta).  Its first
-m*2^delta columns are the m-fold partial simplex of the exact family, and
-the r leftover columns are the first r canonical columns, which is what the
-nested-block search of the near-optimal construction picks and what the
-residual tables hold for delta <= 2.  For delta in {3, 4} the table-backed
-extension replaces that last partial period by the optimal residual columns.
-The k > 1 family is built from k-partial simplex codes.
+Every code is stacked from `simplex.canonical_stack`, the canonical columns
+of a (k-)partial simplex repeated.  For rate 1/n, column j of the stack is
+(1, ~j_0, ..., ~j_{delta-1}), with j_i bit i of j, so an (n, 1, delta) stack
+costs O(n*delta).  Its first m*2^delta columns are the m-fold partial
+simplex of the exact family, and the r leftover columns are the first r
+canonical columns, which is what the nested-block search of the near-optimal
+construction picks and what the residual tables hold for delta <= 2.  For
+delta in {3, 4} the table-backed extension replaces that last partial period
+by the optimal residual columns.  The k > 1 family is an m-fold k-partial
+simplex followed by greedily chosen canonical columns.
 
 This module also holds the reference tables of the paper that the
 `reproduce` subcommand and the acceptance tests check.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from .convcode import (
     _CHUNK_BITS,
@@ -29,7 +27,7 @@ from .convcode import (
     is_noncatastrophic,
 )
 from .gf2core import BitMatrix, hstack, np
-from .simplex import k_partial_simplex, m_fold, partial_simplex
+from .simplex import canonical_stack
 
 # ---------------------------------------------------------------------------
 # Reference tables
@@ -95,39 +93,6 @@ def _residual_code_profile(rows, jmax=5):
     return prof.values[: jmax + 1], limit
 
 
-@dataclass(frozen=True)
-class ExtensionChoice:
-    """Extra generator columns used when n is not an exact multiple."""
-
-    width: int
-    columns: Optional[BitMatrix]  # (delta+k) x width, from the canonical column set
-    exponents: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("negative extension width")
-        if self.columns is not None and self.columns.cols != self.width:
-            raise ValueError("extension width mismatch")
-        if self.exponents:
-            if list(self.exponents) != sorted(self.exponents, reverse=True):
-                raise ValueError("exponents must be strictly decreasing")
-            if sum(1 << (a - 1) for a in self.exponents) != self.width:
-                raise ValueError("exponents do not sum to the extension width")
-
-
-@dataclass(frozen=True)
-class ConstructionPlan:
-    """How a requested (n, k, delta) was realized."""
-
-    n: int
-    k: int
-    delta: int
-    m: int
-    base_width: int
-    extension: ExtensionChoice
-    provenance: str
-
-
 def _check_parameters(n: int, k: int, delta: int) -> None:
     """Refuse (n, k, delta) that no code has, before any work."""
     if n < 1 or k < 1 or delta < 0:
@@ -175,15 +140,7 @@ def _rate_1_stack(n: int, delta: int, tables: bool) -> BitMatrix:
     With `tables`, for delta in {3, 4} the last s = n mod 2^delta columns
     are the first s columns of the optimal residual stack instead.
     """
-    full = (1 << n) - 1
-    rows = [full]
-    for i in range(delta):
-        half = 1 << i
-        row, width = (1 << min(half, n)) - 1, 2 * half
-        while width < n:
-            row |= row << width
-            width *= 2
-        rows.append(row & full)
+    rows = canonical_stack(1, delta, n).row_bits
     s = n % (1 << delta)
     if tables and s and delta in (3, 4):
         base = n - s
@@ -221,7 +178,7 @@ def _residual_stack(delta: int) -> BitMatrix:
     """Stacked (delta+1)-row matrix whose leading columns are the optimal
     residual choices for delta in {3, 4}."""
     if delta == 3:
-        top = m_fold(partial_simplex(3), 2)
+        top = canonical_stack(1, 2, 8)  # the 2-fold dimension-3 partial simplex
         return BitMatrix(8, top.row_bits + BitMatrix.from_strings([OPT_ROW_D3]).row_bits)
     top = recursive_partial_simplex_4()
     return BitMatrix(16, top.row_bits + BitMatrix.from_strings([OPT_ROW_D4]).row_bits)
@@ -231,8 +188,7 @@ def recursive_partial_simplex_4(g3_row: str = OPT_ROW_D3) -> BitMatrix:
     """The dimension-4 partial simplex in its recursive column order:
     two copies of the 2-fold dimension-3 partial simplex over the
     dimension-3 bottom row `g3_row`, repeated."""
-    s3_2 = m_fold(partial_simplex(3), 2)
-    top = hstack([s3_2, s3_2])
+    top = canonical_stack(1, 2, 16)
     g3 = BitMatrix.from_strings([g3_row + g3_row])
     return BitMatrix(16, top.row_bits + g3.row_bits)
 
@@ -307,7 +263,7 @@ def construct_k_dim(m: int, k: int, delta: int) -> ConvCode:
         raise ValueError("fold count must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return stack_to_code(m_fold(k_partial_simplex(k, delta), m), k, delta)
+    return stack_to_code(canonical_stack(k, delta, (m * ((1 << k) - 1)) << delta), k, delta)
 
 
 def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistanceProfile:
@@ -324,15 +280,15 @@ def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistancePr
 def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
     """The (delta+k)-row stack of construct_k_dim_extended."""
     base_len = (1 << delta) * ((1 << k) - 1)
-    m, r = divmod(n, base_len)
+    r = n % base_len
     if r == 0:
-        return m_fold(k_partial_simplex(k, delta), m)
+        return canonical_stack(k, delta, n)
     cost = (r * base_len) << (delta + k)
     if cost > EXTENSION_SEARCH_GUARD:
         raise ValueError(
             f"extension search of {cost} candidate messages exceeds the guard"
         )
-    canon = k_partial_simplex(k, delta)
+    canon = canonical_stack(k, delta, base_len)
     msg_type = np.min_scalar_type((1 << (delta + k)) - 1)
     messages = np.arange(1, 1 << (delta + k), dtype=msg_type)
     pool = np.array([canon.column(j).bits for j in range(canon.cols)], dtype=msg_type)
@@ -352,7 +308,7 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
         weight += np.bitwise_count(messages & pool[best]) & 1
         rows = [row | (((int(pool[best]) >> i) & 1) << c) for i, row in enumerate(rows)]
     ext = BitMatrix(r, tuple(rows))
-    return hstack([m_fold(canon, m), ext]) if m else ext
+    return hstack([canonical_stack(k, delta, n - r), ext])
 
 
 def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
@@ -373,33 +329,18 @@ def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
 
 
 def construct(n: int, k: int, delta: int):
-    """Build an (n, k, delta) code, returning it with a ConstructionPlan."""
+    """Build an (n, k, delta) code, returning it with a provenance string."""
     _check_parameters(n, k, delta)
-    base_len = (1 << delta) * ((1 << k) - 1)
-    m, r = divmod(n, base_len)
-    exponents = ()
-    if k == 1:
+    r = n % ((1 << delta) * ((1 << k) - 1))
+    if k > 1:
+        stack = _k_dim_stack(n, k, delta)
+        provenance = "k-dim search extension" if r else "k-dim exact"
+    else:
         stack = _rate_1_stack(n, delta, tables=True)
         if r == 0:
             provenance = "rate-1/n exact"
         elif delta <= 4:
             provenance = f"table-backed extension, s={r}"
         else:
-            exponents = binary_decomposition(r)
             provenance = "near-optimal"
-    else:
-        stack = _k_dim_stack(n, k, delta)
-        provenance = "k-dim search extension" if r else "k-dim exact"
-    ext_cols = None
-    if r:
-        ext_cols = BitMatrix(r, tuple(rb >> (n - r) for rb in stack.row_bits))
-    plan = ConstructionPlan(
-        n=n,
-        k=k,
-        delta=delta,
-        m=m,
-        base_width=m * base_len,
-        extension=ExtensionChoice(width=r, columns=ext_cols, exponents=exponents),
-        provenance=provenance,
-    )
-    return stack_to_code(stack, k, delta), plan
+    return stack_to_code(stack, k, delta), provenance

@@ -463,6 +463,8 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     """
     if not is_delay_free(c):
         raise ValueError("bounds need a delay-free generator matrix")
+    if jmax < 0:
+        raise ValueError("jmax must be >= 0")
     # Increment i <= mu is the least window weight with a nonzero block of
     # G_i and zero later blocks; for i > mu it is 0: take u = (u_0, 0, ..., 0).
     table, k = _window_weights(c, jmax), c.k

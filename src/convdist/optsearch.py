@@ -284,6 +284,8 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     """
     if horizon is None:
         horizon = c.delta + 5
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
     best, tubes = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)

@@ -5,53 +5,60 @@ pair (t, w) where t is the value of the top `k_top` rows (row 1 is the most
 significant bit of t) and w is the value of the remaining rows (the first of
 them is the LEAST significant bit of w).  Enumeration runs w from its
 maximum down to 0 in the outer loop and t from its maximum down to 1 in the
-inner loop.  For a full simplex (k_top = 0) the columns are the values
-2^k - 1 down to 1 with row 1 the most significant bit.
+inner loop.  For a full simplex the top rows are all k rows, so the columns
+are the values 2^k - 1 down to 1 with row 1 the most significant bit.
+
+One closed form, `canonical_stack`, builds every generator and every m-fold
+stack of them.  With T = 2^k_top - 1, inner column b holds t = T - b, the
+bits of b inverted, so top row i is 2^(k_top-1-i) ones then as many zeros,
+cut to T columns; bottom row i is 2^i*T ones then 2^i*T zeros.  Each row's
+pattern is doubled until it is n bits wide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .gf2core import BitMatrix, guard_table, hstack, np, span_weights, xor_span
+from .gf2core import BitMatrix, hstack
 
 
-def _canonical_columns(k_top: int, bottom: int) -> BitMatrix:
-    """Columns (t, w) with t != 0, in the canonical order described above."""
-    dim = k_top + bottom
-    rows = [0] * dim
-    j = 0
-    for w in range((1 << bottom) - 1, -1, -1):
-        for t in range((1 << k_top) - 1, 0, -1):
-            for i in range(k_top):  # row i holds bit k_top-1-i of t
-                if (t >> (k_top - 1 - i)) & 1:
-                    rows[i] |= 1 << j
-            for i in range(bottom):  # row k_top+i holds bit i of w
-                if (w >> i) & 1:
-                    rows[k_top + i] |= 1 << j
-            j += 1
-    return BitMatrix(j, tuple(rows))
+def _repeat(pattern: int, width: int, n: int) -> int:
+    """The first n bits of the `width`-bit `pattern` repeated, in
+    O(log(n/width)) doublings."""
+    while width < n:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << n) - 1)
+
+
+def _square_wave(h: int, n: int) -> int:
+    """n bits of h ones then h zeros, repeated."""
+    return _repeat((1 << min(h, n)) - 1, 2 * h, n)
+
+
+def canonical_stack(k_top: int, bottom: int, n: int) -> BitMatrix:
+    """The first n columns of S(k_top+bottom)_{k_top} in canonical order,
+    repeated with period (2^k_top - 1)*2^bottom."""
+    if k_top < 1 or bottom < 0 or n < 0:
+        raise ValueError("need k_top >= 1, bottom >= 0 and n >= 0")
+    t = (1 << k_top) - 1
+    top = [
+        _repeat(_square_wave(1 << (k_top - 1 - i), min(t, n)), t, n)
+        for i in range(k_top)
+    ]
+    return BitMatrix(n, tuple(top + [_square_wave(t << i, n) for i in range(bottom)]))
 
 
 def simplex_generator(k: int) -> BitMatrix:
     """Generator of the simplex code S(k): all nonzero vectors as columns."""
     if k < 1:
         raise ValueError("simplex dimension must be >= 1")
-    rows = [0] * k
-    j = 0
-    for v in range((1 << k) - 1, 0, -1):
-        for i in range(k):
-            if (v >> (k - 1 - i)) & 1:
-                rows[i] |= 1 << j
-        j += 1
-    return BitMatrix(j, tuple(rows))
+    return canonical_stack(k, 0, (1 << k) - 1)
 
 
 def partial_simplex(d: int) -> BitMatrix:
     """S(d)_1: the simplex generator restricted to columns with first entry 1."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _canonical_columns(1, d - 1)
+    return canonical_stack(1, d - 1, 1 << (d - 1))
 
 
 def k_partial_simplex(k: int, delta: int) -> BitMatrix:
@@ -60,7 +67,7 @@ def k_partial_simplex(k: int, delta: int) -> BitMatrix:
         raise ValueError("k must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    return _canonical_columns(k, delta)
+    return canonical_stack(k, delta, ((1 << k) - 1) << delta)
 
 
 def m_fold(m_mat: BitMatrix, m: int) -> BitMatrix:
@@ -68,58 +75,3 @@ def m_fold(m_mat: BitMatrix, m: int) -> BitMatrix:
     if m < 1:
         raise ValueError("fold count must be >= 1")
     return hstack([m_mat] * m)
-
-
-@dataclass(frozen=True)
-class SimplexFamilySpec:
-    """Parameters picking one member of the (partial) simplex family."""
-
-    kind: str  # "full", "partial" or "k_partial"
-    dim: int
-    k_top: int
-    fold: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("full", "partial", "k_partial"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.fold < 1 or self.dim < 1 or not 0 <= self.k_top <= self.dim:
-            raise ValueError("invalid simplex family parameters")
-        if self.kind == "full" and self.k_top != 0:
-            raise ValueError("full simplex has no restricted top rows")
-        if self.kind == "partial" and self.k_top != 1:
-            raise ValueError("partial simplex restricts exactly one top row")
-
-    @property
-    def width(self) -> int:
-        if self.kind == "full":
-            base = (1 << self.dim) - 1
-        else:
-            base = (1 << self.dim) - (1 << (self.dim - self.k_top))
-        return self.fold * base
-
-    def generate(self) -> BitMatrix:
-        if self.kind == "full":
-            base = simplex_generator(self.dim)
-        elif self.kind == "partial":
-            base = partial_simplex(self.dim)
-        else:
-            base = k_partial_simplex(self.k_top, self.dim - self.k_top)
-        return m_fold(base, self.fold) if self.fold > 1 else base
-
-
-def min_weight_block_code(
-    m_mat: BitMatrix, restrict_top_nonzero: int = 0
-) -> int:
-    """Minimum weight over nonzero messages, by exhaustion over 2^rows - 1.
-
-    With restrict_top_nonzero = k_top > 0, only messages whose first k_top
-    coordinates are not all zero are considered.  The 2^rows codewords are
-    one XOR span, refused past the table guard before it is built.
-    """
-    nrows = m_mat.rows
-    if nrows == 0:
-        raise ValueError("empty matrix")
-    guard_table(nrows, m_mat.cols, "block-code table")
-    weights = span_weights(xor_span(m_mat.row_bits, m_mat.cols))
-    top_mask = (1 << restrict_top_nonzero) - 1 or -1  # -1: any nonzero message
-    return int(weights[(np.arange(1 << nrows) & top_mask) != 0].min())

@@ -119,6 +119,10 @@ class TestConstructCommand:
         assert rc == 0
         assert parse_code_file(out) == construct(3, 1, 40)[0]
 
+    def test_format_option_is_gone(self, capsys):
+        rc, out, _ = run(capsys, "construct", "4", "1", "2", "--format", "json")
+        assert rc == 1 and out == ""
+
     def test_unbuildable_parameters(self, capsys):
         rc, _, err = run(capsys, "construct", "0", "1", "1")
         assert rc == 1
@@ -204,6 +208,22 @@ class TestBoundsCommand:
         rc, _, _ = run(capsys, "bounds", "2", "2", "1")
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["4", "1", "-1"], "delta must be >= 0"),
+            (["4", "1", "2", "--jmax", "-1"], "jmax must be >= 0"),
+        ],
+        ids=["delta", "jmax"],
+    )
+    def test_rejects_negative_delta_and_jmax(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "c.txt"
+        run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        for extra in ([], ["--in", str(path)]):
+            rc, out, err = run(capsys, "bounds", *argv, *extra)
+            assert rc == 1 and out == ""
+            assert err == f"error: {message}\n"
+
     def test_deep_code_meets_the_table_guard(self, tmp_path, capsys):
         path = tmp_path / "deep.txt"
         path.write_text("2 1 25\n11\n" + "00\n" * 24 + "10\n")
@@ -259,6 +279,13 @@ class TestVerifyOptimalCommand:
         assert rc == 2
         assert "not optimal through delta = 3 (d_0..d_3)" in out.splitlines()
 
+    def test_negative_horizon_is_refused(self, capsys):
+        rc, out, err = run(
+            capsys, "verify-optimal", "--params", "2", "1", "1", "--horizon", "-1"
+        )
+        assert rc == 1 and out == ""
+        assert err == "error: horizon must be >= 0\n"
+
     def test_requires_an_input(self, capsys):
         rc, _, err = run(capsys, "verify-optimal")
         assert rc == 1
@@ -269,6 +296,12 @@ class TestReproduceAndUsage:
         rc, out, _ = run(capsys, "reproduce", "ws3")
         assert rc == 0
         assert "reproduced" in out
+
+    @pytest.mark.parametrize("table", ["ws3", "delta2-cases"])
+    def test_reproduce_json_is_only_json(self, capsys, table):
+        rc, out, _ = run(capsys, "reproduce", table, "--json")
+        assert rc == 0
+        assert json.loads(out) == {"table": table, "match": True}
 
     def test_reproduce_delta2(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "delta2-cases")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -33,11 +34,19 @@ from convdist.convcode import (
     is_row_reduced,
 )
 from convdist.gf2core import BitMatrix, hstack
-from convdist.simplex import k_partial_simplex, m_fold, min_weight_block_code, partial_simplex
+from convdist.optsearch import wt_profile
+from convdist.simplex import canonical_stack, k_partial_simplex, m_fold, partial_simplex
 
 
 def coeff_strings(code):
     return [g.row_strings() for g in code.coeffs]
+
+
+def columns(code, start, stop):
+    """Columns start..stop-1 of the (delta+k)-row stack a code was sliced from."""
+    rows = [row for g in code.coeffs for row in g.row_bits][: code.delta + code.k]
+    mask = (1 << (stop - start)) - 1
+    return BitMatrix(stop - start, tuple((row >> start) & mask for row in rows))
 
 
 class TestStackToCode:
@@ -233,18 +242,21 @@ class TestDispatcher:
         ],
     )
     def test_provenance_and_validity(self, n, k, delta, provenance):
-        code, plan = construct(n, k, delta)
+        code, got = construct(n, k, delta)
         assert (code.n, code.k, code.delta) == (n, k, delta)
-        assert plan.provenance == provenance
-        assert plan.base_width + plan.extension.width == n
+        assert got == provenance
+        # the full periods come first, as the canonical m-fold base
+        base = n - n % (((1 << k) - 1) << delta)
+        assert columns(code, 0, base) == canonical_stack(k, delta, base)
         assert is_delay_free(code)
         assert is_row_reduced(code)
         assert is_noncatastrophic(code)
         assert internal_degree(code) == delta
 
     def test_plan_extension_columns(self):
-        _, plan = construct(7, 1, 2)
-        assert plan.extension.columns.row_strings() == ["111", "101", "110"]
+        code, provenance = construct(7, 1, 2)
+        assert provenance == "table-backed extension, s=3"
+        assert columns(code, 4, 7).row_strings() == ["111", "101", "110"]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -295,7 +307,7 @@ def per_candidate_extension(k, delta, r):
             if idx in used:
                 continue
             trial = [row | (((col >> i) & 1) << c) for i, row in enumerate(rows)]
-            wt = min_weight_block_code(BitMatrix(c + 1, tuple(trial)))
+            wt = wt_profile(BitMatrix(c + 1, tuple(trial)), [c + 1])[0]
             if wt > best_wt:
                 best_idx, best_wt, best_rows = idx, wt, trial
         used.add(best_idx)
@@ -342,3 +354,18 @@ def test_largest_admitted_extension_stays_small():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert int(out.stdout) < 64 * 1024  # VmHWM is in KiB
+
+
+def test_readme_quick_example(capsys):
+    # each print in the README's Python example shows its output as a comment
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        readme = fh.read()
+    example = re.search(r"Quick example:\n\n```python\n(.*?)```", readme, re.S).group(1)
+    shown = [
+        line.split("#", 1)[1].strip()
+        for line in example.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown

@@ -261,6 +261,10 @@ class TestBounds:
         assert rep.singleton == 12
         assert rep.L == 2
 
+    def test_row_weight_bounds_refuse_negative_jmax(self):
+        with pytest.raises(ValueError, match="jmax must be >= 0"):
+            row_weight_bounds(REP_412, -1)
+
     def test_row_weight_bounds_bracket_distances(self):
         c = code_from_rows(["110", "011", "101"])
         rep = row_weight_bounds(c, 4)

@@ -20,7 +20,6 @@ from convdist.gf2core import (
     xor_span,
 )
 from convdist.optsearch import _tube_weights, wt_profile
-from convdist.simplex import min_weight_block_code
 from poly_oracle import POLY_ONE, POLY_ZERO, Poly2, PolyMatrix, k_minors, poly_gcd
 
 
@@ -142,15 +141,12 @@ class TestXorSpan:
         rows = [rng.getrandbits(n) for _ in range(5)] + [1 << (n - 1), (1 << n) - 1]
         m = BitMatrix(n, tuple(rows))
         words = [vec_mat_mul(BitVec(m.rows, u), m).bits for u in range(1 << m.rows)]
-        assert min_weight_block_code(m) == min(w.bit_count() for w in words[1:]) == 1
-        for top in (1, 2, 5):
-            live = [w.bit_count() for u, w in enumerate(words) if u & ((1 << top) - 1)]
-            assert min_weight_block_code(m, restrict_top_nonzero=top) == min(live)
         widths = range(1, n + 1)
         expected = tuple(
             min((w & ((1 << s) - 1)).bit_count() for w in words[1:]) for s in widths
         )
         assert wt_profile(m, widths) == expected
+        assert expected[-1] == 1
 
     def test_bit_63_has_weight_one(self):
         assert span_weights(xor_span([1 << 63], 64)).tolist() == [0, 1]

@@ -189,6 +189,15 @@ class TestVerifyOptimal:
         verdict = verify_optimal(code_from_rows(["11", "10"]), horizon=3)
         assert verdict.horizon == 3
 
+    def test_negative_horizon_is_refused_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("verify_optimal started work")
+
+        monkeypatch.setattr(optsearch, "column_distances_exhaustive", no_work)
+        monkeypatch.setattr(optsearch, "_scored_orbits", no_work)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            verify_optimal(construct(4, 1, 2)[0], -1)
+
     def test_non_row_reduced_matrix_matches_its_own_orbit(self):
         # [g1; g2 + z*g1] generates the (3, 2, 0) even-weight code, the one
         # optimal orbit; with mu = 1 > delta only its row-reduced form has

@@ -1,14 +1,27 @@
 import pytest
 
 from convdist.gf2core import BitMatrix
+from convdist.optsearch import wt_profile
 from convdist.simplex import (
-    SimplexFamilySpec,
+    canonical_stack,
     k_partial_simplex,
     m_fold,
-    min_weight_block_code,
     partial_simplex,
     simplex_generator,
 )
+
+
+def canonical_columns(k_top, bottom):
+    """The columns (t, w) with t != 0, in the order the module docstring
+    states: w from its maximum down to 0, and within each w, t from its
+    maximum down to 1.  Row i < k_top holds bit k_top-1-i of t, and row
+    k_top+i holds bit i of w."""
+    columns = []
+    for w in range((1 << bottom) - 1, -1, -1):
+        for t in range((1 << k_top) - 1, 0, -1):
+            top = [(t >> (k_top - 1 - i)) & 1 for i in range(k_top)]
+            columns.append(top + [(w >> i) & 1 for i in range(bottom)])
+    return columns
 
 
 class TestCanonicalMatrices:
@@ -50,41 +63,50 @@ class TestCanonicalMatrices:
             m_fold(partial_simplex(2), 0)
 
 
-class TestFamilySpec:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            SimplexFamilySpec("full", 3, 0),
-            SimplexFamilySpec("partial", 3, 1, fold=2),
-            SimplexFamilySpec("k_partial", 4, 2),
-        ],
-    )
-    def test_width_matches_generate(self, spec):
-        assert spec.generate().cols == spec.width
+class TestCanonicalStack:
+    @pytest.mark.parametrize("k_top", range(1, 6))
+    def test_matches_the_documented_order(self, k_top):
+        # every n from one column to three periods plus a partial fourth
+        for bottom in range(7):
+            columns = canonical_columns(k_top, bottom)
+            period = len(columns)
+            assert period == ((1 << k_top) - 1) << bottom
+            longest = 3 * period + period // 2 + 1
+            rows = [
+                sum(columns[j % period][i] << j for j in range(longest))
+                for i in range(k_top + bottom)
+            ]
+            for n in range(1, longest + 1):
+                expected = tuple(row & ((1 << n) - 1) for row in rows)
+                assert canonical_stack(k_top, bottom, n) == BitMatrix(n, expected), (
+                    k_top, bottom, n
+                )
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimplexFamilySpec("full", 3, 1)
-        with pytest.raises(ValueError):
-            SimplexFamilySpec("partial", 3, 2)
-        with pytest.raises(ValueError):
-            SimplexFamilySpec("weird", 3, 1)
+    def test_generators_are_one_period(self):
+        for k in range(1, 6):
+            assert simplex_generator(k) == canonical_stack(k, 0, (1 << k) - 1)
+            for delta in range(5):
+                period = ((1 << k) - 1) << delta
+                assert k_partial_simplex(k, delta) == canonical_stack(k, delta, period)
+
+    def test_deep_bottom_with_few_columns(self):
+        # rows of 2^i ones are never built wider than n
+        rows = canonical_stack(1, 200, 3).row_strings()
+        assert rows == ["111", "101", "110"] + ["111"] * 198
+
+    def test_invalid(self):
+        assert canonical_stack(2, 1, 0).cols == 0
+        for args in [(0, 1, 4), (1, -1, 4), (1, 1, -1)]:
+            with pytest.raises(ValueError):
+                canonical_stack(*args)
 
 
 class TestMinWeight:
     def test_simplex_is_constant_weight(self):
         for k in range(1, 6):
-            assert min_weight_block_code(simplex_generator(k)) == 1 << (k - 1)
-
-    def test_restriction(self):
-        # identity rows: restricting the top coordinate to be nonzero forces
-        # weight >= 1 even though the second row alone has weight 1 too
-        m = BitMatrix.from_strings(["10", "11"])
-        assert min_weight_block_code(m) == 1
-        assert min_weight_block_code(m, restrict_top_nonzero=1) == 1
-        m2 = BitMatrix.from_strings(["11", "01"])
-        assert min_weight_block_code(m2, restrict_top_nonzero=1) == 1
+            m = simplex_generator(k)
+            assert wt_profile(m, [m.cols])[0] == 1 << (k - 1)
 
     def test_guard(self):
         with pytest.raises(ValueError):
-            min_weight_block_code(BitMatrix.zeros(31, 2))
+            wt_profile(BitMatrix.zeros(31, 2), [2])
