@@ -288,10 +288,15 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
         raise ValueError(
             f"extension search of {cost} candidate messages exceeds the guard"
         )
-    canon = canonical_stack(k, delta, base_len)
     msg_type = np.min_scalar_type((1 << (delta + k)) - 1)
     messages = np.arange(1, 1 << (delta + k), dtype=msg_type)
-    pool = np.array([canon.column(j).bits for j in range(canon.cols)], dtype=msg_type)
+    # Canonical column j is (t, w) = (T - j mod T, 2^delta - 1 - j div T),
+    # T = 2^k - 1.  Its bit i is row i: bit k - 1 - i of t for i < k, then w.
+    j = np.arange(base_len)
+    t = (1 << k) - 1 - j % ((1 << k) - 1)
+    w = (1 << delta) - 1 - j // ((1 << k) - 1)
+    pool = sum(((t >> (k - 1 - i)) & 1) << i for i in range(k)) | (w << k)
+    pool = pool.astype(msg_type)
     free = np.ones(len(pool), dtype=bool)
     # weight[u]: weight of message u's codeword on the columns chosen so far
     weight = np.zeros(len(messages), dtype=np.min_scalar_type(r))

@@ -130,6 +130,23 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
     return span_weights(xor_span(rows, c.n))
 
 
+def _add_periodic(out: np.ndarray, table: np.ndarray, start: int) -> None:
+    """out[x] += table[(start + x) mod p] in place, for p = len(table) a power
+    of two: one slice add when no wrap falls inside out, else three, for the
+    head up to the next multiple of p, the whole periods and the tail."""
+    period, length = len(table), len(out)
+    off = start & (period - 1)
+    if off + length <= period:
+        out += table[off : off + length]
+        return
+    head = -off & (period - 1)
+    out[:head] += table[period - head :]
+    body = (length - head) // period * period
+    periods = out[head : head + body].reshape(-1, *table.shape)  # a view
+    periods += table
+    out[head + body :] += table[: length - head - body]
+
+
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     """Column distances of a batch of codes from their window-weight tables.
 
@@ -137,29 +154,47 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     lays it out.  Entry (b, j) of the result is the least weight of output
     blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  A prefix
     is an int with u_0 in its top block, so the 2^k children of prefix p are
-    p * 2^k + u_{j+1}, and the window of a prefix is its low bits.  Prefixes
-    are expanded depth first, in pieces of at most 2^_CHUNK_BITS entries.
+    p * 2^k + u_{j+1}, and the window of a prefix is its low bits.  The
+    windows of a run of consecutive children are therefore the table read
+    cyclically: one slice of it while the children stay below its size, and
+    whole periods of it once they pass it.  The children's weights are
+    their parents' weights, each repeated 2^k times, plus that run; no index
+    array is built and nothing is gathered.  Prefixes are expanded depth
+    first, in pieces of at most 2^_CHUNK_BITS entries.  The last level is
+    never built: for windows of D + 1 blocks, d_jmax is the least parent
+    weight plus rowmin[p mod 2^(kD)], the lightest last block of p's
+    children's windows.
+
+    Every work array holds the batch as its innermost axis, so each add
+    runs over whole batches; a table that already lies in memory that way
+    (as `xor_span` fills a batch of spans) is used without a copy.
     """
     batch, size = tables.shape
-    mask = size - 1
     dtype = np.min_scalar_type(int(tables.max()) * (jmax + 1))
-    tables = tables.astype(dtype, copy=False)
+    tables = np.ascontiguousarray(tables.T, dtype=dtype)
+    rowmin = tables.reshape(size >> k, 1 << k, batch).min(axis=1)
     dist = np.full((batch, jmax + 1), np.iinfo(dtype).max, dtype=dtype)
     piece = max(1, ((1 << _CHUNK_BITS) >> k) // batch)
 
     def expand(cum, first, j):
-        """cum[:, x] is the weight of prefix first + x, of length j + 1."""
-        np.minimum(dist[:, j], cum.min(axis=1), out=dist[:, j])
-        if j == jmax:
+        """cum[x] is the weight of prefix first + x, of length j + 1, in
+        each code of the batch; cum is this call's own array."""
+        np.minimum(dist[:, j], cum.min(axis=0), out=dist[:, j])
+        if j + 1 == jmax:
+            _add_periodic(cum, rowmin, first)
+            np.minimum(dist[:, jmax], cum.min(axis=0), out=dist[:, jmax])
             return
-        for start in range(0, cum.shape[1], piece):
-            part = cum[:, start : start + piece]
+        for start in range(0, len(cum), piece):
             child = (first + start) << k
-            win = np.arange(child, child + (part.shape[1] << k)) & mask
-            grown = part[:, :, None] + tables[:, win].reshape(batch, -1, 1 << k)
-            expand(grown.reshape(batch, -1), child, j + 1)
+            grown = np.repeat(cum[start : start + piece], 1 << k, axis=0)
+            _add_periodic(grown, tables, child)
+            expand(grown, child, j + 1)
 
-    expand(tables[:, 1 : 1 << k], 1, 0)
+    level0 = tables[1 : 1 << k].copy()
+    if jmax == 0:
+        dist[:, 0] = level0.min(axis=0)
+    else:
+        expand(level0, 1, 0)
     return dist
 
 

@@ -259,19 +259,20 @@ def xor_span(rows, n: int) -> np.ndarray:
     little-endian uint64 words: shape (2^len(rows), ceil(n / 64)).  An
     integer array of shape (batch, r), n <= 64, gives one span per batch
     entry: shape (batch, 2^r, 1)."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.astype(np.uint64)[..., None]
+    batched = isinstance(rows, np.ndarray)
+    if batched:
+        # A batch is filled innermost, so that each XOR runs over the whole
+        # batch, and returned as a view in the documented shape.
+        rows = np.moveaxis(rows.astype(np.uint64), -1, 0)[..., None]
     else:
         shifts = range(0, max(64, n), 64)
         rows = np.array([[(r >> s) & _WORD_MASK for s in shifts] for r in rows], dtype=np.uint64)
         rows = rows.reshape(-1, len(shifts))
-    *batch, r, words = rows.shape
-    span = np.zeros((*batch, 1 << r, words), dtype=np.uint64)
-    for i in range(r):
+    span = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=np.uint64)
+    for i, row in enumerate(rows):
         half = 1 << i
-        np.bitwise_xor(span[..., :half, :], rows[..., i : i + 1, :],
-                       out=span[..., half : 2 * half, :])
-    return span
+        np.bitwise_xor(span[:half], row, out=span[half : 2 * half])
+    return np.moveaxis(span, 0, -2) if batched else span
 
 
 def span_weights(span: np.ndarray, dtype="int64") -> np.ndarray:

@@ -24,7 +24,6 @@ from .convcode import (
     _row_reduce,
     column_distances_exhaustive,
     internal_degree,
-    is_delay_free,
 )
 from .gf2core import (
     _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
@@ -146,15 +145,15 @@ def _code_from_tubes(n: int, k: int, delta: int, tubes) -> ConvCode:
 def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
     """Which orbits are delay-free codes of degree exactly delta.
 
-    For k = 1 that is G_0 != 0 and G_delta != 0; for k > 1 the predicates
-    run on each orbit's representative."""
-    n = tubes.shape[1]
+    G_0 has full rank iff every nonzero combination of its rows is nonzero,
+    which one span decides for the whole batch.  The degree is then
+    G_delta != 0 for k = 1; for k > 1 `internal_degree` runs on the
+    representative of each delay-free orbit."""
+    keep = _tube_weights(tubes, k)[:, 1:].all(axis=1)
     if k == 1:
-        return ((tubes & 1).any(axis=1)) & (((tubes >> delta) & 1).any(axis=1))
-    keep = np.zeros(len(tubes), dtype=bool)
-    for b, row in enumerate(tubes):
-        code = _code_from_tubes(n, k, delta, row)
-        keep[b] = is_delay_free(code) and internal_degree(code) == delta
+        return keep & ((tubes >> delta) & 1).any(axis=1)
+    for b in np.flatnonzero(keep):
+        keep[b] = internal_degree(_code_from_tubes(tubes.shape[1], k, delta, tubes[b])) == delta
     return keep
 
 

@@ -359,3 +359,47 @@ def test_random_codes_oracles_agree():
             assert free_distance(c) == reference_free_distance(c), c
             freed += 1
     assert freed >= 300
+
+
+def scalar_min_weights(table, k, jmax):
+    """d_0..d_jmax over every prefix u_0..u_j with u_0 != 0, one prefix at a
+    time: prefix p has u_0 in its top block and its window is p mod size."""
+    mask = len(table) - 1
+    level = [(u, table[u]) for u in range(1, 1 << k)]
+    dist = [min(w for _, w in level)]
+    for _ in range(jmax):
+        level = [
+            (p << k | u, w + table[(p << k | u) & mask])
+            for p, w in level
+            for u in range(1 << k)
+        ]
+        dist.append(min(w for _, w in level))
+    return dist
+
+
+@pytest.mark.parametrize("chunk_bits", [3, 5, 22])
+def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
+    """Random window tables, not only tables of codes.  At 2^3 entries a
+    piece stays inside one period of the table, at 2^22 it spans many."""
+    from convdist.gf2core import np
+
+    monkeypatch.setattr(convcode, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    cases = 0
+    for k in (1, 2, 3):
+        for depth in range(4):
+            for jmax in range(8):
+                if k * (jmax + 1) > 15:
+                    continue
+                high = rng.choice((10, 300))  # uint8 and uint16 sums
+                tables = [
+                    [rng.randrange(high) for _ in range(1 << (k * (depth + 1)))]
+                    for _ in range(rng.randint(1, 5))
+                ]
+                given = np.array(tables)
+                got = convcode._min_weights(given, k, jmax)
+                want = [scalar_min_weights(t, k, jmax) for t in tables]
+                assert got.tolist() == want, (k, depth, jmax)
+                assert given.tolist() == tables
+                cases += 1
+    assert cases == 4 * (8 + 7 + 5)

@@ -134,6 +134,19 @@ class TestPolyMatrix:
 
 
 class TestXorSpan:
+    def test_batched_span_is_one_span_per_entry(self):
+        rng = random.Random(5)
+        rows = [[rng.getrandbits(40) for _ in range(4)] for _ in range(3)]
+        span = xor_span(np.array(rows, dtype=np.int64), 40)
+        assert span.shape == (3, 16, 1)
+        for b, batch_rows in enumerate(rows):
+            expected = [0] * 16
+            for u in range(16):
+                for i, row in enumerate(batch_rows):
+                    if u >> i & 1:
+                        expected[u] ^= row
+            assert span[b, :, 0].tolist() == expected
+
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_block_code_weights_at_word_boundaries(self, n):
         rng = random.Random(n)
