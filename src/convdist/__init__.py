@@ -30,11 +30,7 @@ from .convcode import (
 from .construct import (
     binary_decomposition,
     construct,
-    construct_extended,
-    construct_k_dim,
-    construct_k_dim_extended,
     construct_near_optimal,
-    construct_rate_1_n,
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,
@@ -45,15 +41,11 @@ from .gf2core import (
     BitVec,
     hstack,
     rank,
-    vec_mat_mul,
     vstack,
-    weight,
 )
 from .optsearch import (
     OptimalityVerdict,
     RowSearchResult,
-    best_profile_bruteforce,
-    codes_equivalent_by_column_permutation,
     optimal_codes_bruteforce,
     search_optimal_row,
     verify_optimal,

@@ -13,19 +13,8 @@ from typing import Optional
 
 from . import convcode as cc
 from . import optsearch as opt
-from .construct import (
-    DELTA2_S2_EXPECTED,
-    DELTA2_S3_EXPECTED,
-    OPT_ROWS_D3,
-    WS3_EXPECTED,
-    WT4_EXPECTED,
-    _expand_d4,
-    _residual_code_profile,
-    construct as build_code,
-    recursive_partial_simplex_4,
-)
+from .construct import REFERENCE_TABLES, construct as build_code
 from .gf2core import BitMatrix
-from .simplex import m_fold, partial_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +132,7 @@ def cmd_construct(args) -> int:
 
 
 def _profile_report(code: cc.ConvCode, jmax: int, method: str, want_free: bool):
+    profile = cc.distance_profile(code, jmax, method=method)
     noncat = cc.is_noncatastrophic(code)
     free = None
     if want_free:
@@ -151,7 +141,6 @@ def _profile_report(code: cc.ConvCode, jmax: int, method: str, want_free: bool):
                 "free distance is a limit that a catastrophic code need not attain"
             )
         free = cc.free_distance(code)
-    profile = cc.distance_profile(code, jmax, method=method)
     report = {
         "n": code.n,
         "k": code.k,
@@ -224,8 +213,7 @@ def cmd_bounds(args) -> int:
     if args.delta < 0:
         raise ValueError("delta must be >= 0")
     jmax = args.jmax if args.jmax is not None else args.delta + 5
-    if jmax < 0:
-        raise ValueError("jmax must be >= 0")
+    cc.check_jmax(jmax)
     out = {
         "n": args.n,
         "k": args.k,
@@ -252,13 +240,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_optimal(args) -> int:
+    if (args.infile is None) == (args.params is None):
+        raise ValueError("give either a code file or --params n k delta")
     if args.infile:
         with open(args.infile) as fh:
             code = parse_code_file(fh.read())
-    elif args.params:
-        code, _ = build_code(*args.params)
     else:
-        raise ValueError("give a code file or --params n k delta")
+        code, _ = build_code(*args.params)
     verdict = opt.verify_optimal(code, args.horizon)
     if args.json:
         _emit_json(
@@ -291,87 +279,14 @@ def cmd_verify_optimal(args) -> int:
 # Table reproduction
 
 
-def _reproduce_ws3(quiet: bool):
-    res = opt.search_optimal_row(m_fold(partial_simplex(3), 2))
-    got = res.profile[:7]
-    if not quiet:
-        print("s    : " + " ".join(f"{s:2d}" for s in range(1, 8)))
-        print("wt^s : " + " ".join(f"{v:2d}" for v in got))
-    return got == WS3_EXPECTED, got, WS3_EXPECTED
-
-
-def _reproduce_wt4(quiet: bool):
-    res = opt.search_optimal_row(recursive_partial_simplex_4())
-    got = res.profile[:15]
-    if not quiet:
-        print("t    : " + " ".join(f"{t:2d}" for t in range(1, 16)))
-        print("wt^t : " + " ".join(f"{v:2d}" for v in got))
-    return got == WT4_EXPECTED, got, WT4_EXPECTED
-
-
-def _reproduce_opt_rows_d3(quiet: bool):
-    res = opt.search_optimal_row(m_fold(partial_simplex(3), 2))
-    got = tuple(sorted(v.to_string() for v in res.optimal_rows))
-    if not quiet:
-        for row in got:
-            print(row)
-    return got == tuple(sorted(OPT_ROWS_D3)), got, tuple(sorted(OPT_ROWS_D3))
-
-
-def _reproduce_opt_rows_d4(quiet: bool):
-    """For each of the 8 optimal bottom rows at dimension 4, search all 2^16
-    candidate rows at dimension 5.  The search ties on the whole weight
-    profile; among the tied rows, the ones in quarter-repeated form
-    (h1 h1 h2 h2) — the form that keeps the recursive column layout
-    extendable — must be exactly the expansions of the same 8 optimal rows,
-    for 64 codes in total."""
-    expected = tuple(sorted(_expand_d4(r) for r in OPT_ROWS_D3))
-    total = 0
-    for g3 in OPT_ROWS_D3:
-        res = opt.search_optimal_row(recursive_partial_simplex_4(g3))
-        rows = [v.to_string() for v in res.optimal_rows]
-        got = tuple(
-            sorted(r for r in rows if r[0:4] == r[4:8] and r[8:12] == r[12:16])
-        )
-        total += len(got)
-        if got != expected:
-            return False, got, expected
-    if not quiet:
-        for row in expected:
-            print(row)
-        print(f"total optimal codes: {total}")
-    return total == 64, total, 64
-
-
-def _reproduce_delta2_cases(quiet: bool):
-    ok = True
-    results = {}
-    for (x, y), expected in DELTA2_S2_EXPECTED.items():
-        got = _residual_code_profile(["11", "10", f"{x}{y}"])
-        results[f"s=2 (x,y)=({x},{y})"] = (got, expected)
-        ok = ok and got == expected
-    for rows, expected in DELTA2_S3_EXPECTED.items():
-        got = _residual_code_profile(list(rows))
-        results[f"s=3 rows {'/'.join(rows)}"] = (got, expected)
-        ok = ok and got == expected
-    if not quiet:
-        for label, (got, expected) in results.items():
-            mark = "ok" if got == expected else "MISMATCH"
-            print(f"{label}: profile {got[0]} free {got[1]} [{mark}]")
-    return ok, results, None
-
-
 def cmd_reproduce(args) -> int:
-    dispatch = {
-        "ws3": _reproduce_ws3,
-        "wt4": _reproduce_wt4,
-        "opt-rows-d3": _reproduce_opt_rows_d3,
-        "opt-rows-d4": _reproduce_opt_rows_d4,
-        "delta2-cases": _reproduce_delta2_cases,
-    }
-    ok, got, expected = dispatch[args.table](args.quiet or args.json)
+    recompute, expected = REFERENCE_TABLES[args.table]
+    got = recompute()
+    ok = got == expected
     if args.json:
         _emit_json({"table": args.table, "match": ok})
+    elif not args.quiet:
+        print(f"{args.table}: {got}")
     if not ok:
         if not args.quiet:
             print(f"MISMATCH: got {got!r}, expected {expected!r}", file=sys.stderr)
@@ -428,10 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify_optimal)
 
     pr = sub.add_parser("reproduce", parents=[common])
-    pr.add_argument(
-        "table",
-        choices=["ws3", "wt4", "delta2-cases", "opt-rows-d3", "opt-rows-d4"],
-    )
+    pr.add_argument("table", choices=list(REFERENCE_TABLES))
     pr.set_defaults(func=cmd_reproduce)
     return p
 

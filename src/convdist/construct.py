@@ -11,8 +11,9 @@ delta in {3, 4} the table-backed extension replaces that last partial period
 by the optimal residual columns.  The k > 1 family is an m-fold k-partial
 simplex followed by greedily chosen canonical columns.
 
-This module also holds the reference tables of the paper that the
-`reproduce` subcommand and the acceptance tests check.
+This module also holds the reference tables of the paper, and in
+`REFERENCE_TABLES` the computation that re-derives each one, which the
+`reproduce` subcommand runs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .convcode import (
     is_noncatastrophic,
 )
 from .gf2core import BitMatrix, hstack, np
-from .simplex import canonical_stack
+from .optsearch import search_optimal_row
+from .simplex import canonical_stack, m_fold, partial_simplex
 
 # ---------------------------------------------------------------------------
 # Reference tables
@@ -93,6 +95,51 @@ def _residual_code_profile(rows, jmax=5):
     return prof.values[: jmax + 1], limit
 
 
+def _quarter_repeated_optimal_rows(g3_row: str):
+    """The optimal dimension-5 bottom rows over the recursive dimension-4
+    layout of `g3_row` that are in quarter-repeated form h1 h1 h2 h2, the
+    form that keeps the recursive column layout extendable, in ascending
+    order.  The search ties on the whole weight profile; these rows must be
+    exactly the expansions of the eight optimal dimension-3 rows."""
+    res = search_optimal_row(recursive_partial_simplex_4(g3_row))
+    rows = (v.to_string() for v in res.optimal_rows)
+    return tuple(sorted(r for r in rows if r[0:4] == r[4:8] and r[8:12] == r[12:16]))
+
+
+# The delta = 2 residual cases keyed by their (delta+1) rows.
+_DELTA2_CASES = {
+    ("11", "10", f"{x}{y}"): expected for (x, y), expected in DELTA2_S2_EXPECTED.items()
+} | DELTA2_S3_EXPECTED
+
+# `reproduce` table -> (recompute, expected): the table is reproduced when
+# recompute() == expected.  opt-rows-d4 searches all 2^16 candidate rows at
+# dimension 5 for each of the 8 optimal dimension-3 rows, 64 codes in total.
+REFERENCE_TABLES = {
+    "ws3": (
+        lambda: search_optimal_row(m_fold(partial_simplex(3), 2)).profile[:7],
+        WS3_EXPECTED,
+    ),
+    "wt4": (
+        lambda: search_optimal_row(recursive_partial_simplex_4()).profile[:15],
+        WT4_EXPECTED,
+    ),
+    "delta2-cases": (
+        lambda: {rows: _residual_code_profile(rows) for rows in _DELTA2_CASES},
+        _DELTA2_CASES,
+    ),
+    "opt-rows-d3": (
+        lambda: tuple(sorted(
+            v.to_string() for v in search_optimal_row(m_fold(partial_simplex(3), 2)).optimal_rows
+        )),
+        tuple(sorted(OPT_ROWS_D3)),
+    ),
+    "opt-rows-d4": (
+        lambda: tuple(_quarter_repeated_optimal_rows(g3) for g3 in OPT_ROWS_D3),
+        (tuple(sorted(_expand_d4(r) for r in OPT_ROWS_D3)),) * len(OPT_ROWS_D3),
+    ),
+}
+
+
 def _check_parameters(n: int, k: int, delta: int) -> None:
     """Refuse (n, k, delta) that no code has, before any work."""
     if n < 1 or k < 1 or delta < 0:
@@ -153,15 +200,6 @@ def _rate_1_stack(n: int, delta: int, tables: bool) -> BitMatrix:
     return BitMatrix(n, tuple(rows))
 
 
-def construct_rate_1_n(m: int, delta: int) -> ConvCode:
-    """The (m*2^delta, 1, delta) code stacked from an m-fold partial simplex."""
-    if m < 1:
-        raise ValueError("fold count must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    return stack_to_code(_rate_1_stack(m << delta, delta, tables=False), 1, delta)
-
-
 def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile:
     """Closed-form profile n + min(j, delta)*n/2 with free distance n + delta*n/2."""
     if n < 1 or n % (1 << delta):
@@ -191,17 +229,6 @@ def recursive_partial_simplex_4(g3_row: str = OPT_ROW_D3) -> BitMatrix:
     top = canonical_stack(1, 2, 16)
     g3 = BitMatrix.from_strings([g3_row + g3_row])
     return BitMatrix(16, top.row_bits + g3.row_bits)
-
-
-def construct_extended(n: int, delta: int) -> ConvCode:
-    """(n, 1, delta) code for 1 <= delta <= 4 using the optimal residual columns."""
-    if not 1 <= delta <= 4:
-        raise ValueError(
-            "optimal residual tables cover delta in 1..4; use construct_near_optimal"
-        )
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return stack_to_code(_rate_1_stack(n, delta, tables=True), 1, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +278,10 @@ def construct_near_optimal(n: int, delta: int):
 # ---------------------------------------------------------------------------
 # Dimension k > 1
 
-# Largest extension search construct_k_dim_extended takes on, counted as
-# r extra columns * 2^delta*(2^k-1) candidates * 2^(delta+k) messages per
-# trial; about a second of work.
+# Largest k > 1 extension search `construct` takes on, counted as r extra
+# columns * 2^delta*(2^k-1) candidates * 2^(delta+k) messages per trial;
+# about a second of work.
 EXTENSION_SEARCH_GUARD = 1 << 26
-
-
-def construct_k_dim(m: int, k: int, delta: int) -> ConvCode:
-    """The (m*2^delta*(2^k-1), k, delta) code from an m-fold k-partial simplex."""
-    if m < 1:
-        raise ValueError("fold count must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return stack_to_code(canonical_stack(k, delta, (m * ((1 << k) - 1)) << delta), k, delta)
 
 
 def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistanceProfile:
@@ -278,7 +296,15 @@ def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistancePr
 
 
 def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
-    """The (delta+k)-row stack of construct_k_dim_extended."""
+    """The (delta+k)-row stack of an (n, k, delta) code: a k-partial simplex
+    base plus greedily chosen extra canonical columns.
+
+    Each extra column maximizes, in turn, the minimum weight of the block
+    code generated by the residual columns chosen so far (ties go to the
+    smallest canonical column index).  Optimal only up to this search rule.
+    A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
+    before it starts.
+    """
     base_len = (1 << delta) * ((1 << k) - 1)
     r = n % base_len
     if r == 0:
@@ -316,25 +342,17 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
     return hstack([canonical_stack(k, delta, n - r), ext])
 
 
-def construct_k_dim_extended(n: int, k: int, delta: int) -> ConvCode:
-    """k-partial simplex base plus greedily chosen extra canonical columns.
-
-    Each extra column maximizes, in turn, the minimum weight of the block
-    code generated by the residual columns chosen so far (ties go to the
-    smallest canonical column index).  Optimal only up to this search rule.
-    A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
-    before it starts.
-    """
-    _check_parameters(n, k, delta)
-    return stack_to_code(_k_dim_stack(n, k, delta), k, delta)
-
-
 # ---------------------------------------------------------------------------
 # Dispatcher
 
 
 def construct(n: int, k: int, delta: int):
-    """Build an (n, k, delta) code, returning it with a provenance string."""
+    """Build an (n, k, delta) code, returning it with a provenance string.
+
+    This is the package's one builder.  A rate-1/n code is the m-fold
+    partial simplex followed by the first r = n mod 2^delta canonical
+    columns, or for delta in {3, 4} by the tabled optimal residual columns;
+    a k > 1 code is the stack of `_k_dim_stack`."""
     _check_parameters(n, k, delta)
     r = n % ((1 << delta) * ((1 << k) - 1))
     if k > 1:

@@ -10,7 +10,7 @@ state tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .gf2core import (
     TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, np,
@@ -18,6 +18,12 @@ from .gf2core import (
 )
 
 MESSAGE_GUARD_BITS = 30
+# Largest loop over j accepted, in branch updates: jmax + 1 steps of
+# max(2^(memory + k), 2^_STEP_FLOOR_BITS) branches each.  The smallest
+# trellis step costs about 12.5 us, as much as 2^12 branch updates, so the
+# guard admits about a second of such steps.
+STEP_WORK_GUARD = 1 << 28
+_STEP_FLOOR_BITS = 12
 _CHUNK_BITS = 22
 # Unreached states sit at _INF.  The state tables hold int32 path weights,
 # which are exact while _INF + n * (j + 1) < 2^31, that is for every d_j
@@ -60,13 +66,6 @@ class ConvCode:
             return self.coeffs[i]
         return BitMatrix.zeros(self.k, self.n)
 
-    def permute_columns(self, perm: Sequence[int]) -> "ConvCode":
-        """Apply one column permutation to every coefficient matrix."""
-        return ConvCode(
-            self.n, self.k, tuple(g.permute_columns(perm) for g in self.coeffs),
-            self.delta,
-        )
-
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -101,6 +100,17 @@ class BoundReport:
 
 # ---------------------------------------------------------------------------
 # Sliding matrices and column distances
+
+
+def check_jmax(jmax: int, branch_bits: int = 0) -> None:
+    """Refuse, before any work, a negative jmax, or jmax + 1 steps of
+    2^branch_bits branch updates (at least 2^_STEP_FLOOR_BITS) past
+    STEP_WORK_GUARD."""
+    if jmax < 0:
+        raise ValueError("jmax must be >= 0")
+    bits = max(branch_bits, _STEP_FLOOR_BITS)
+    if (jmax + 1) << bits > STEP_WORK_GUARD:
+        raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
 
 
 def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
@@ -202,8 +212,7 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by enumerating every message prefix with u_0 != 0."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
-    if jmax < 0:
-        raise ValueError("jmax must be >= 0")
+    check_jmax(jmax)
     bits = c.k * (jmax + 1)
     if bits > MESSAGE_GUARD_BITS:
         raise ValueError(f"{bits} message bits exceed the exhaustion guard")
@@ -278,8 +287,7 @@ def column_distances_trellis(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by minimum-weight traversal of the encoder states."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
-    if jmax < 0:
-        raise ValueError("jmax must be >= 0")
+    check_jmax(jmax, external_degree(c) + c.k)
     bw, pred = _state_tables(c)
     cur = _min_plus_step(_from_zero_state(bw.shape[1]), bw, pred, leave_zero=True)
     dist = [int(cur.min())]
@@ -367,33 +375,44 @@ def _dependent_rows(vecs) -> int:
     return 0
 
 
-def _row_reduce(c: ConvCode) -> list:
-    """The rows of a row-reduced generator matrix of c's code, or rows that
-    include a zero one if all k x k minors of G(z) vanish.
+def _packed_rows(c: ConvCode) -> list:
+    """The k rows of G(z), row r packed into one int with the z^i
+    coefficient of entry j at bit i*n + j."""
+    return [sum(g.row_bits[r] << (i * c.n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
+
+
+def _row_reduce(rows: list, n: int) -> list:
+    """The rows of a row-reduced generator matrix of the code of the packed
+    rows of G(z), k <= n of them, or rows that include a zero one if all
+    k x k minors of G(z) vanish.
 
     Unimodular row operations keep every minor, so G(z) is row-reduced in
     place: while the leading-row-coefficient matrix is singular, the row of
     largest degree in a dependent set S takes the z-shifted sum of S, which
     lowers its degree.  Each step adds z^t times other rows (t >= 0) to one
     row, an elementary row operation on G_0 when t = 0, so G_0 keeps its
-    rank.  Row r is packed into one int, the z^i coefficient of entry j at bit
-    i*n + j.
+    rank.
     """
-    if c.k > c.n:
-        raise ValueError("need k <= n")
-    n = c.n
-    rows = [sum(g.row_bits[r] << (i * n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
+    rows = list(rows)
     while all(rows):
         nus = [(g.bit_length() - 1) // n for g in rows]
         dep = _dependent_rows([g >> (nu * n) for g, nu in zip(rows, nus)])
         if not dep:
             break
-        members = [i for i in range(c.k) if dep >> i & 1]
+        members = [i for i in range(len(rows)) if dep >> i & 1]
         top = max(members, key=nus.__getitem__)
         for i in members:
             if i != top:
                 rows[top] ^= rows[i] << ((nus[top] - nus[i]) * n)
     return rows
+
+
+def _internal_degree(rows: list, n: int) -> Optional[int]:
+    """`internal_degree` of the packed rows of G(z), k <= n of them."""
+    rows = _row_reduce(rows, n)
+    if not all(rows):
+        return None
+    return sum((g.bit_length() - 1) // n for g in rows)
 
 
 def internal_degree(c: ConvCode) -> Optional[int]:
@@ -402,10 +421,9 @@ def internal_degree(c: ConvCode) -> Optional[int]:
     Once G(z) is row-reduced, its row degrees sum to the internal degree
     (Forney 1975).
     """
-    rows = _row_reduce(c)
-    if not all(rows):
-        return None
-    return sum((g.bit_length() - 1) // c.n for g in rows)
+    if c.k > c.n:
+        raise ValueError("need k <= n")
+    return _internal_degree(_packed_rows(c), c.n)
 
 
 def is_row_reduced(c: ConvCode) -> bool:
@@ -498,8 +516,7 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     """
     if not is_delay_free(c):
         raise ValueError("bounds need a delay-free generator matrix")
-    if jmax < 0:
-        raise ValueError("jmax must be >= 0")
+    check_jmax(jmax)
     # Increment i <= mu is the least window weight with a nonzero block of
     # G_i and zero later blocks; for i > mu it is 0: take u = (u_0, 0, ..., 0).
     table, k = _window_weights(c, jmax), c.k

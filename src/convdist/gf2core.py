@@ -68,42 +68,11 @@ class BitVec:
             length = i + 1
         return cls(length, bits)
 
-    @classmethod
-    def from_string(cls, s: str) -> "BitVec":
-        """Parse a 0/1 string; the leftmost character is coordinate 0."""
-        return cls.from_bits(int(ch) for ch in s)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits & other.bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def to_string(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
 
     def __repr__(self) -> str:
         return f"BitVec({self.to_string()!r})"
-
-
-def weight(v: BitVec) -> int:
-    """Number of set coordinates of v."""
-    return v.weight()
 
 
 @dataclass(frozen=True)
@@ -154,9 +123,6 @@ class BitMatrix:
             bits |= ((r >> j) & 1) << i
         return BitVec(self.rows, bits)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def entry(self, i: int, j: int) -> int:
         return (self.row_bits[i] >> j) & 1
 
@@ -166,33 +132,8 @@ class BitMatrix:
     def row_strings(self):
         return [self.row(i).to_string() for i in range(self.rows)]
 
-    def permute_columns(self, perm: Sequence[int]) -> "BitMatrix":
-        """New matrix whose column j is the old column perm[j]."""
-        if sorted(perm) != list(range(self.cols)):
-            raise ValueError("not a permutation")
-        new_rows = []
-        for r in self.row_bits:
-            bits = 0
-            for j, src in enumerate(perm):
-                bits |= ((r >> src) & 1) << j
-            new_rows.append(bits)
-        return BitMatrix(self.cols, tuple(new_rows))
-
     def __repr__(self) -> str:
         return f"BitMatrix({self.row_strings()})"
-
-
-def vec_mat_mul(u: BitVec, m: BitMatrix) -> BitVec:
-    """GF(2) product u*M: XOR of the rows of M selected by u."""
-    if u.n != m.rows:
-        raise ValueError(f"length {u.n} does not match {m.rows} rows")
-    acc = 0
-    bits = u.bits
-    while bits:
-        i = (bits & -bits).bit_length() - 1
-        acc ^= m.row_bits[i]
-        bits &= bits - 1
-    return BitVec(m.cols, acc)
 
 
 def rank(m: BitMatrix) -> int:

@@ -19,11 +19,11 @@ from typing import Optional, Tuple
 
 from .convcode import (
     ConvCode,
-    DistanceProfile,
+    _internal_degree,
     _min_weights,
+    _packed_rows,
     _row_reduce,
     column_distances_exhaustive,
-    internal_degree,
 )
 from .gf2core import (
     _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
@@ -32,8 +32,8 @@ from .gf2core import (
 CODE_SEARCH_GUARD_BITS = 24
 # orbits x messages x steps of the largest brute force accepted
 BRUTEFORCE_WORK_GUARD = 1 << 30
-# Building one k > 1 orbit representative and running its two predicates
-# costs about 45 us, as much as 2^15 message steps of the batch kernel.
+# The degree test of one k > 1 orbit is charged as 2^15 message steps of
+# the batch kernel.
 _REPRESENTATIVE_WORK = 1 << 15
 # orbits per batch: at most 2^_BATCH_BITS message prefixes in flight
 _BATCH_BITS = 22
@@ -147,24 +147,34 @@ def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
 
     G_0 has full rank iff every nonzero combination of its rows is nonzero,
     which one span decides for the whole batch.  The degree is then
-    G_delta != 0 for k = 1; for k > 1 `internal_degree` runs on the
-    representative of each delay-free orbit."""
+    G_delta != 0 for k = 1; for k > 1 the internal degree of each delay-free
+    orbit is computed from the rows of G(z), packed straight from its
+    window rows: row r of G_i is window row i*k + r."""
     keep = _tube_weights(tubes, k)[:, 1:].all(axis=1)
     if k == 1:
         return keep & ((tubes >> delta) & 1).any(axis=1)
-    for b in np.flatnonzero(keep):
-        keep[b] = internal_degree(_code_from_tubes(tubes.shape[1], k, delta, tubes[b])) == delta
+    n = tubes.shape[1]
+    windows = _window_rows(tubes[keep], k * (delta + 1)).astype(np.uint64).tolist()
+    keep[keep] = [
+        _internal_degree(
+            [sum(w[i * k + r] << (i * n) for i in range(delta + 1)) for r in range(k)], n
+        ) == delta
+        for w in windows
+    ]
     return keep
+
+
+def _window_rows(tubes: np.ndarray, bits: int) -> np.ndarray:
+    """Entry (b, i): the n output bits of orbit b that window bit i switches
+    on, that is bit i of every column tube."""
+    column_bits = np.int64(1) << np.arange(tubes.shape[1], dtype=np.int64)
+    return ((tubes[:, None, :] >> np.arange(bits)[:, None]) & 1) @ column_bits
 
 
 def _tube_weights(tubes: np.ndarray, bits: int) -> np.ndarray:
     """Window-weight tables of a batch of orbits: entry (b, w) is the sum
     over columns c of parity(w & tubes[b, c]), for windows of `bits` bits."""
-    n = tubes.shape[1]
-    column_bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    # row i of orbit b: the n output bits that window bit i switches on
-    rows = ((tubes[:, None, :] >> np.arange(bits)[:, None]) & 1) @ column_bits
-    return span_weights(xor_span(rows, n), np.uint8)
+    return span_weights(xor_span(_window_rows(tubes, bits), tubes.shape[1]), np.uint8)
 
 
 def _scored_orbits(n: int, k: int, delta: int, horizon: int):
@@ -238,30 +248,6 @@ def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
     return best, [_code_from_tubes(n, k, delta, t) for t in tubes]
 
 
-def best_profile_bruteforce(n: int, k: int, delta: int, horizon: int):
-    """The maximal profile and one witness code achieving it."""
-    best, achievers = optimal_codes_bruteforce(n, k, delta, horizon)
-    return DistanceProfile(best, None, "bruteforce"), achievers[0]
-
-
-def codes_equivalent_by_column_permutation(a: ConvCode, b: ConvCode) -> bool:
-    """True iff one fixed column permutation maps every G_i of a onto b's.
-
-    Works on the multiset of column tubes, which a simultaneous permutation
-    reorders.
-    """
-    if (a.n, a.k) != (b.n, b.k):
-        return False
-    mu = max(a.mu, b.mu)
-    return _padded_tubes(a, mu) == _padded_tubes(b, mu)
-
-
-def _padded_tubes(c: ConvCode, mu: int):
-    """c's sorted column tubes through G_mu."""
-    rows = [sum(g.row_bits[r] << (i * c.n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
-    return _tubes(rows, c.n, c.k, mu)
-
-
 def _tubes(rows, n: int, k: int, mu: int):
     """Sorted column tubes through G_mu of the k rows of G(z), row r packed
     with the z^i coefficient of entry j at bit i*n + j."""
@@ -293,7 +279,7 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
         witness = _code_from_tubes(c.n, c.k, c.delta, tubes[0])
         return OptimalityVerdict(False, horizon, witness, False, through_delta)
     # the search enumerates c's orbit through the tubes of its row-reduced form
-    rows = _row_reduce(c)
+    rows = _row_reduce(_packed_rows(c), c.n)
     mine = np.array(_tubes(rows, c.n, c.k, max(c.delta, (max(rows).bit_length() - 1) // c.n)))
     ties = bool((tubes != mine).any(axis=1).any())
     return OptimalityVerdict(True, horizon, None, ties, through_delta)

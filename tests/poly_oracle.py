@@ -1,6 +1,7 @@
 """Polynomials and polynomial matrices over GF(2)[z], and their k x k
 minors: the tests' oracle for the structural predicates, which the package
-itself computes by row and column reduction without enumerating minors."""
+itself computes by row and column reduction without enumerating minors.
+Also `vec_mat_mul`, one codeword at a time: the oracle for `xor_span`."""
 
 from __future__ import annotations
 
@@ -156,3 +157,12 @@ def k_minors(g: PolyMatrix):
         grid = [[g.entries[r][c] for c in cols] for r in range(g.rows)]
         minors.append(_poly_det(grid))
     return minors
+
+
+def vec_mat_mul(u: int, m: BitMatrix) -> int:
+    """The GF(2) product u*M: the XOR of the rows of M selected by the bits of u."""
+    acc = 0
+    for i, row in enumerate(m.row_bits):
+        if u >> i & 1:
+            acc ^= row
+    return acc

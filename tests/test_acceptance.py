@@ -73,7 +73,7 @@ def test_criterion_03_rate_1_n_profile_formula():
     cases = [(m, d) for m in (1, 2) for d in (0, 1, 2, 3)] + [(1, 4)]
     for m, d in cases:
         n = m << d
-        code = cd.construct_rate_1_n(m, d)
+        code, _ = cd.construct(n, 1, d)
         pred = cd.predicted_profile_rate_1_n(n, d, d + 5)
         trellis = cd.column_distances_trellis(code, d + 5)
         assert tuple(trellis) == pred.values
@@ -87,7 +87,7 @@ def test_criterion_03_rate_1_n_profile_formula():
 
 def test_criterion_04_k2_example_12_2_2():
     t0 = time.monotonic()
-    code = cd.construct_k_dim(1, 2, 2)
+    code, _ = cd.construct(12, 2, 2)
     for values in (
         cd.column_distances_trellis(code, 1),
         cd.column_distances_exhaustive(code, 1),
@@ -111,7 +111,7 @@ def test_criterion_05_delta2_extension_cases():
         (6, (6, 9, 11), 13),
         (7, (7, 10, 13), 15),
     ]:
-        code = cd.construct_extended(n, 2)
+        code, _ = cd.construct(n, 1, 2)
         prof = cd.distance_profile(code, 2, with_free=True)
         assert prof.values == head
         assert prof.free_distance == free

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from convdist.cli import format_code_file, main, parse_code_file
-from convdist.construct import construct
+from convdist.construct import REFERENCE_TABLES, construct
 
 
 def run(capsys, *argv):
@@ -160,6 +160,19 @@ class TestProfileCommand:
             profiles.append(json.loads(out)["profile"])
         assert profiles[0] == profiles[1] == [8, 14, 14, 14]
 
+    @pytest.mark.parametrize("method", ["auto", "trellis"])
+    def test_step_guard_refuses_a_huge_jmax_at_once(self, tmp_path, capsys, method):
+        path = tmp_path / "c.txt"
+        run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        t0 = time.monotonic()
+        rc, out, err = run(
+            capsys, "profile", str(path), "--jmax", "1000000000", "--method", method
+        )
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step guard" in err
+
     def test_free_of_catastrophic_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 1 1\n11\n11\n")
@@ -223,6 +236,14 @@ class TestBoundsCommand:
             rc, out, err = run(capsys, "bounds", *argv, *extra)
             assert rc == 1 and out == ""
             assert err == f"error: {message}\n"
+
+    def test_step_guard_refuses_a_huge_jmax_at_once(self, capsys):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "bounds", "4", "1", "2", "--jmax", "1000000000")
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step guard" in err
 
     def test_deep_code_meets_the_table_guard(self, tmp_path, capsys):
         path = tmp_path / "deep.txt"
@@ -290,6 +311,13 @@ class TestVerifyOptimalCommand:
         rc, _, err = run(capsys, "verify-optimal")
         assert rc == 1
 
+    def test_refuses_a_file_and_params_together(self, tmp_path, capsys):
+        path = tmp_path / "c.txt"
+        run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        rc, out, err = run(capsys, "verify-optimal", str(path), "--params", "5", "1", "2")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestReproduceAndUsage:
     def test_reproduce_ws3(self, capsys):
@@ -297,11 +325,21 @@ class TestReproduceAndUsage:
         assert rc == 0
         assert "reproduced" in out
 
-    @pytest.mark.parametrize("table", ["ws3", "delta2-cases"])
+    @pytest.mark.parametrize("table", list(REFERENCE_TABLES))
     def test_reproduce_json_is_only_json(self, capsys, table):
         rc, out, _ = run(capsys, "reproduce", table, "--json")
         assert rc == 0
         assert json.loads(out) == {"table": table, "match": True}
+
+    def test_reproduce_mismatch(self, capsys, monkeypatch):
+        recompute, _ = REFERENCE_TABLES["ws3"]
+        monkeypatch.setitem(REFERENCE_TABLES, "ws3", (recompute, (0,) * 7))
+        rc, out, err = run(capsys, "reproduce", "ws3")
+        assert rc == 2 and "reproduced" not in out
+        assert err.startswith("MISMATCH: ") and err.count("\n") == 1
+        rc, out, _ = run(capsys, "reproduce", "ws3", "--json")
+        assert rc == 2
+        assert json.loads(out) == {"table": "ws3", "match": False}
 
     def test_reproduce_delta2(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "delta2-cases")

@@ -14,11 +14,7 @@ from convdist.construct import (
     OPT_ROW_D4,
     binary_decomposition,
     construct,
-    construct_extended,
-    construct_k_dim,
-    construct_k_dim_extended,
     construct_near_optimal,
-    construct_rate_1_n,
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,
@@ -76,12 +72,12 @@ class TestStackToCode:
 
 class TestRate1N:
     def test_known_small_codes(self):
-        assert coeff_strings(construct_rate_1_n(1, 1)) == [["11"], ["10"]]
-        assert coeff_strings(construct_rate_1_n(2, 1)) == [["1111"], ["1010"]]
+        assert coeff_strings(construct(2, 1, 1)[0]) == [["11"], ["10"]]
+        assert coeff_strings(construct(4, 1, 1)[0]) == [["1111"], ["1010"]]
 
     def test_profile_matches_formula(self):
         for m, delta in [(1, 1), (1, 2), (2, 2), (1, 3)]:
-            code = construct_rate_1_n(m, delta)
+            code, _ = construct(m << delta, 1, delta)
             pred = predicted_profile_rate_1_n(m << delta, delta, delta + 3)
             prof = distance_profile(code, delta + 3, with_free=True)
             assert prof.values == pred.values
@@ -94,18 +90,18 @@ class TestRate1N:
 
 class TestExtended:
     def test_delta1_odd_length(self):
-        assert coeff_strings(construct_extended(3, 1)) == [["111"], ["101"]]
+        assert coeff_strings(construct(3, 1, 1)[0]) == [["111"], ["101"]]
 
     def test_delta2_residuals(self):
-        assert coeff_strings(construct_extended(6, 2)) == [
+        assert coeff_strings(construct(6, 1, 2)[0]) == [
             ["111111"],
             ["101010"],
             ["110011"],
         ]
-        assert coeff_strings(construct_extended(3, 2)) == [["111"], ["101"], ["110"]]
+        assert coeff_strings(construct(3, 1, 2)[0]) == [["111"], ["101"], ["110"]]
 
     def test_delta3_table_row(self):
-        code = construct_extended(11, 3)
+        code, _ = construct(11, 1, 3)
         assert code.coeffs[3].row_strings() == [
             partial_simplex(4).row_strings()[3] + OPT_ROW_D3[:3]
         ]
@@ -118,14 +114,10 @@ class TestExtended:
         assert sorted(top.column(j).to_string() for j in range(16)) == sorted(
             canonical.column(j).to_string() for j in range(16)
         )
-        code = construct_extended(16 + 5, 4)
+        code, _ = construct(16 + 5, 1, 4)
         assert code.coeffs[4].row_strings() == [
             partial_simplex(5).row_strings()[4] + OPT_ROW_D4[:5]
         ]
-
-    def test_out_of_table_range(self):
-        with pytest.raises(ValueError):
-            construct_extended(9, 5)
 
 
 def nested_block_stack(m, r, delta):
@@ -170,7 +162,7 @@ class TestClosedFormColumns:
                 for r in range(1 - m, 1 << delta):
                     n = (m << delta) + r
                     code, _ = construct_near_optimal(n, delta)
-                    assert construct_extended(n, delta) == code
+                    assert construct(n, 1, delta)[0] == code
 
 
 class TestNearOptimal:
@@ -187,7 +179,7 @@ class TestNearOptimal:
 
     def test_matches_table_for_delta2(self):
         code, _ = construct_near_optimal(7, 2)
-        assert coeff_strings(code) == coeff_strings(construct_extended(7, 2))
+        assert coeff_strings(code) == coeff_strings(construct(7, 1, 2)[0])
 
     def test_bound_profile_shape(self):
         bound = near_optimal_bound_profile(10, 3, 3)
@@ -203,29 +195,29 @@ class TestNearOptimal:
 
 class TestKDim:
     def test_s42_slicing(self):
-        code = construct_k_dim(1, 2, 2)
+        code, _ = construct(12, 2, 2)
         assert coeff_strings(code) == [
             ["110110110110", "101101101101"],
             ["111000111000", "111111000000"],
         ]
 
     def test_profile_formula(self):
-        code = construct_k_dim(1, 2, 2)
+        code, _ = construct(12, 2, 2)
         pred = predicted_profile_k_dim(12, 2, 2, 3)
         assert distance_profile(code, 3).values == pred.values
 
     def test_k2_delta3_padding(self):
-        code = construct_k_dim(1, 2, 3)
+        code, _ = construct(24, 2, 3)
         assert code.mu == 2
         assert code.coeffs[2].row_bits[1] == 0
         assert internal_degree(code) == 3
 
     def test_extended_search(self):
-        code = construct_k_dim_extended(13, 2, 2)
+        code, _ = construct(13, 2, 2)
         assert code.n == 13
         assert is_delay_free(code)
         assert internal_degree(code) == 2
-        base = distance_profile(construct_k_dim(1, 2, 2), 2).values
+        base = distance_profile(construct(12, 2, 2)[0], 2).values
         ext = distance_profile(code, 2).values
         assert all(e >= b for e, b in zip(ext, base))
 
@@ -272,9 +264,8 @@ class TestDispatcher:
             for n in range(1, 13):
                 for delta in range(5):
                     if k > n:
-                        for build in (construct, construct_k_dim_extended):
-                            with pytest.raises(ValueError, match="k <= n"):
-                                build(n, k, delta)
+                        with pytest.raises(ValueError, match="k <= n"):
+                            construct(n, k, delta)
                         continue
                     try:
                         code, _ = construct(n, k, delta)
@@ -335,7 +326,8 @@ def test_greedy_extension_matches_per_candidate_search(k):
             if r:
                 parts.append(BitMatrix(r, tuple(row & ((1 << r) - 1) for row in full)))
             expected = _outcome(stack_to_code, hstack(parts), k, delta)
-            assert _outcome(construct_k_dim_extended, n, k, delta) == expected, (n, k, delta)
+            got = _outcome(lambda *args: construct(*args)[0], n, k, delta)
+            assert got == expected, (n, k, delta)
 
 
 def test_largest_admitted_extension_stays_small():

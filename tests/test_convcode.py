@@ -29,7 +29,8 @@ from convdist.convcode import (
     singleton_bound,
     sliding_matrix,
 )
-from convdist.gf2core import BitMatrix, BitVec, rank, vec_mat_mul
+from convdist.gf2core import BitMatrix, rank
+from poly_oracle import vec_mat_mul
 
 
 def code_from_rows(rows, k=1, delta=None):
@@ -57,10 +58,6 @@ class TestConvCode:
     def test_coeff_zero_padding(self):
         assert REP_211.mu == 1
         assert REP_211.coeff(5).is_zero()
-
-    def test_permute_columns(self):
-        p = REP_211.permute_columns([1, 0])
-        assert [g.row_strings() for g in p.coeffs] == [["11"], ["01"]]
 
 
 class TestSlidingMatrix:
@@ -265,6 +262,19 @@ class TestBounds:
         with pytest.raises(ValueError, match="jmax must be >= 0"):
             row_weight_bounds(REP_412, -1)
 
+    def test_step_guard(self):
+        # jmax + 1 steps of max(2^branch_bits, 2^12) branch updates, at most 2^28
+        convcode.check_jmax((1 << 16) - 1)
+        convcode.check_jmax(15, STATE_GUARD_BITS)
+        for jmax, branch_bits in [(1 << 16, 0), (16, STATE_GUARD_BITS)]:
+            with pytest.raises(ValueError, match="step guard"):
+                convcode.check_jmax(jmax, branch_bits)
+        t0 = time.monotonic()
+        for oracle in (row_weight_bounds, column_distances_trellis):
+            with pytest.raises(ValueError, match="step guard"):
+                oracle(REP_412, 10**9)
+        assert time.monotonic() - t0 < 1.0
+
     def test_row_weight_bounds_bracket_distances(self):
         c = code_from_rows(["110", "011", "101"])
         rep = row_weight_bounds(c, 4)
@@ -279,7 +289,7 @@ def test_xor_span_matches_vec_mat_mul():
     span = convcode.xor_span(m.row_bits, 70)
     assert span.shape == (64, 2)
     for i, (lo, hi) in enumerate(span.tolist()):
-        assert lo | (hi << 64) == vec_mat_mul(BitVec(6, i), m).bits
+        assert lo | (hi << 64) == vec_mat_mul(i, m)
 
 
 def reference_free_distance(c):

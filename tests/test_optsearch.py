@@ -15,9 +15,6 @@ from convdist.convcode import (
 )
 from convdist.gf2core import BitMatrix
 from convdist.optsearch import (
-    _padded_tubes,
-    best_profile_bruteforce,
-    codes_equivalent_by_column_permutation,
     optimal_codes_bruteforce,
     search_optimal_row,
     verify_optimal,
@@ -34,6 +31,12 @@ def code_from_rows(rows, k=1, delta=None):
     if delta is None:
         delta = len(coeffs) - 1
     return ConvCode(n, k, coeffs, delta)
+
+
+def orbit(code, mu):
+    """The sorted column tubes of code through G_mu, which name its
+    column-permutation orbit."""
+    return tuple(optsearch._tubes(convcode._packed_rows(code), code.n, code.k, mu))
 
 
 class TestWtProfile:
@@ -104,16 +107,13 @@ class TestRowSearch:
 
 class TestBruteForce:
     def test_best_profile_2_1_1(self):
-        prof, witness = best_profile_bruteforce(2, 1, 1, 4)
-        assert prof.values == (2, 3, 3, 3, 3)
-        assert column_distances_exhaustive(witness, 4) == [2, 3, 3, 3, 3]
+        best, achievers = optimal_codes_bruteforce(2, 1, 1, 4)
+        assert best == (2, 3, 3, 3, 3)
+        assert column_distances_exhaustive(achievers[0], 4) == [2, 3, 3, 3, 3]
 
     def test_achievers_are_permutations_for_2_1_1(self):
         _, achievers = optimal_codes_bruteforce(2, 1, 1, 4)
-        ref = achievers[0]
-        assert all(
-            codes_equivalent_by_column_permutation(ref, other) for other in achievers
-        )
+        assert len({orbit(a, 1) for a in achievers}) == 1
 
     def test_k2_enumeration_includes_short_mu(self):
         # with k = 2 and delta = 1, generic degrees (1, 0) force mu = 1, but
@@ -146,26 +146,9 @@ class TestBruteForce:
 
     def test_one_representative_per_orbit_in_order(self):
         best, achievers = optimal_codes_bruteforce(3, 2, 1, 6)
-        orbits = [tuple(_padded_tubes(a, 1)) for a in achievers]
+        orbits = [orbit(a, 1) for a in achievers]
         assert orbits == sorted(set(orbits))
         assert all(column_distances_exhaustive(a, 6) == list(best) for a in achievers)
-
-
-class TestEquivalence:
-    def test_permutation_detected(self):
-        a = code_from_rows(["1111", "1010", "1100"])
-        b = a.permute_columns([3, 1, 0, 2])
-        assert codes_equivalent_by_column_permutation(a, b)
-
-    def test_different_codes(self):
-        a = code_from_rows(["11", "10"])
-        b = code_from_rows(["11", "11"])
-        assert not codes_equivalent_by_column_permutation(a, b)
-
-    def test_different_mu_padding(self):
-        a = code_from_rows(["11", "10"])
-        b = code_from_rows(["11", "10", "01"])
-        assert not codes_equivalent_by_column_permutation(a, b)
 
 
 class TestVerifyOptimal:
@@ -253,7 +236,7 @@ def sequence_search(n, k, delta, horizon):
 
 
 def orbit_set(codes, delta):
-    return {tuple(_padded_tubes(c, delta)) for c in codes}
+    return {orbit(c, delta) for c in codes}
 
 
 ORACLE_CASES = [
@@ -271,7 +254,7 @@ def test_orbit_search_matches_sequence_search(n, k, delta, horizon):
     ref_best, ref_codes = sequence_search(n, k, delta, horizon)
     best, achievers = optimal_codes_bruteforce(n, k, delta, horizon)
     assert best == ref_best
-    orbits = [tuple(_padded_tubes(a, delta)) for a in achievers]
+    orbits = [orbit(a, delta) for a in achievers]
     assert len(orbits) == len(set(orbits))
     assert set(orbits) == orbit_set(ref_codes, delta)
     if n <= k:
@@ -282,7 +265,7 @@ def test_orbit_search_matches_sequence_search(n, k, delta, horizon):
     assert verdict.optimal == (not profile < ref_best)
     assert verdict.optimal_through_delta == (not profile[: delta + 1] < ref_best[: delta + 1])
     if verdict.optimal:
-        ref_ties = any(not codes_equivalent_by_column_permutation(code, c) for c in ref_codes)
+        ref_ties = any(orbit(c, delta) != orbit(code, delta) for c in ref_codes)
         assert verdict.ties_at_horizon == ref_ties
     else:
         assert orbit_set([verdict.witness], delta) <= orbit_set(ref_codes, delta)
