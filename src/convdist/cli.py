@@ -131,35 +131,38 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _profile_report(code: cc.ConvCode, jmax: int, method: str, want_free: bool):
-    profile = cc.distance_profile(code, jmax, method=method)
-    noncat = cc.is_noncatastrophic(code)
-    free = None
-    if want_free:
-        if not noncat:
-            raise ValueError(
-                "free distance is a limit that a catastrophic code need not attain"
-            )
-        free = cc.free_distance(code)
+def _flags(code: cc.ConvCode, external: int) -> dict:
+    """The four structural flags of a parsed code.  `parse_code_file` has
+    proved that its internal degree is delta, so it is row-reduced exactly
+    when its external degree is delta too."""
+    return {
+        "delay_free": cc.is_delay_free(code),
+        "row_reduced": external == code.delta,
+        "noncatastrophic": cc.is_noncatastrophic(code),
+        "generic_row_degrees": cc.has_generic_row_degrees(code),
+    }
+
+
+def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
+    cc.check_jmax(jmax)
+    # one profile, deep enough for the MDP test at L
+    L = cc.L_value(code.n, code.k, code.delta) if code.n > code.k else None
+    profile = cc.distance_profile(code, max(jmax, L or 0))
+    flags = _flags(code, cc.external_degree(code))
+    if want_free and not flags["noncatastrophic"]:
+        raise ValueError("free distance is a limit that a catastrophic code need not attain")
     report = {
         "n": code.n,
         "k": code.k,
         "delta": code.delta,
-        "profile": list(profile.values),
-        "free_distance": free,
+        "profile": list(profile.values[: jmax + 1]),
+        "free_distance": cc.free_distance(code) if want_free else None,
         "method": profile.method,
-        "delay_free": cc.is_delay_free(code),
-        "row_reduced": cc.is_row_reduced(code),
-        "noncatastrophic": noncat,
-        "generic_row_degrees": cc.has_generic_row_degrees(code),
+        **flags,
         "column_bounds": [cc.column_bound(code.n, code.k, j) for j in range(jmax + 1)],
     }
-    if code.n > code.k:
-        L = cc.L_value(code.n, code.k, code.delta)
-        if jmax >= L:
-            report["mdp"] = profile.values[L] == cc.column_bound(code.n, code.k, L)
-        else:
-            report["mdp"] = cc.is_mdp(code)
+    if L is not None:
+        report["mdp"] = profile.values[L] == cc.column_bound(code.n, code.k, L)
     return report
 
 
@@ -167,7 +170,7 @@ def cmd_profile(args) -> int:
     with open(args.infile) as fh:
         code = parse_code_file(fh.read())
     jmax = args.jmax if args.jmax is not None else code.delta + 5
-    report = _profile_report(code, jmax, args.method, args.free)
+    report = _profile_report(code, jmax, args.free)
     if args.json:
         _emit_json(report)
     elif not args.quiet:
@@ -182,21 +185,16 @@ def cmd_profile(args) -> int:
 def cmd_check(args) -> int:
     with open(args.infile) as fh:
         code = parse_code_file(fh.read())
-    internal = cc.internal_degree(code)
-    external = cc.external_degree(code)
-    flags = {
-        "delay_free": cc.is_delay_free(code),
-        "row_reduced": internal == external,
-        "noncatastrophic": cc.is_noncatastrophic(code),
-        "generic_row_degrees": cc.has_generic_row_degrees(code),
-    }
+    degrees = cc.row_degrees(code)
+    external = sum(degrees)
+    flags = _flags(code, external)
     info = {
         "n": code.n,
         "k": code.k,
         "delta": code.delta,
-        "row_degrees": cc.row_degrees(code),
+        "row_degrees": degrees,
         "external_degree": external,
-        "internal_degree": internal,
+        "internal_degree": code.delta,
         **flags,
     }
     if args.json:
@@ -246,7 +244,9 @@ def cmd_verify_optimal(args) -> int:
         with open(args.infile) as fh:
             code = parse_code_file(fh.read())
     else:
-        code, _ = build_code(*args.params)
+        n, k, delta = args.params
+        opt.price_search(n, k, delta, delta + 5 if args.horizon is None else args.horizon)
+        code, _ = build_code(n, k, delta)
     verdict = opt.verify_optimal(code, args.horizon)
     if args.json:
         _emit_json(
@@ -320,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("profile", parents=[common])
     pp.add_argument("infile", metavar="IN")
     pp.add_argument("--jmax", type=int)
-    pp.add_argument("--method", choices=["auto", "exhaustive", "trellis"], default="auto")
     pp.add_argument("--free", action="store_true", help="also compute the free distance")
     pp.set_defaults(func=cmd_profile)
 

@@ -7,9 +7,11 @@ costs O(n*delta).  Its first m*2^delta columns are the m-fold partial
 simplex of the exact family, and the r leftover columns are the first r
 canonical columns, which is what the nested-block search of the near-optimal
 construction picks and what the residual tables hold for delta <= 2.  For
-delta in {3, 4} the table-backed extension replaces that last partial period
-by the optimal residual columns.  The k > 1 family is an m-fold k-partial
-simplex followed by greedily chosen canonical columns.
+delta in {3, 4} and r a multiple of 4, the table-backed extension replaces
+that last partial period by the optimal residual columns; at every other r
+the canonical columns do at least as well on d_0..d_delta.  The k > 1
+family is an m-fold k-partial simplex followed by greedily chosen canonical
+columns.
 
 This module also holds the reference tables of the paper, and in
 `REFERENCE_TABLES` the computation that re-derives each one, which the
@@ -184,12 +186,16 @@ def _rate_1_stack(n: int, delta: int, tables: bool) -> BitMatrix:
 
     Column j is the canonical column j mod 2^delta of S(delta+1)_1, that is
     (1, ~j_0, ..., ~j_{delta-1}): row i+1 repeats 2^i ones then 2^i zeros.
-    With `tables`, for delta in {3, 4} the last s = n mod 2^delta columns
-    are the first s columns of the optimal residual stack instead.
+    With `tables` the last s = n mod 2^delta columns are the first s columns
+    of the optimal residual stack instead; `construct` asks for that at
+    delta in {3, 4} when s is a multiple of 4.  At every other s the
+    canonical columns reach at least the same d_0..d_delta as the tabled
+    ones, and more at s = 6 for delta = 3 and s in {5, 6, 10, 13, 14} for
+    delta = 4; at s = 4, 8, 12 the tabled columns reach more.
     """
     rows = canonical_stack(1, delta, n).row_bits
-    s = n % (1 << delta)
-    if tables and s and delta in (3, 4):
+    if tables:
+        s = n % (1 << delta)
         base = n - s
         tail = (1 << s) - 1
         residual = _residual_stack(delta).row_bits
@@ -265,10 +271,7 @@ def construct_near_optimal(n: int, delta: int):
     exponent a of r's binary decomposition, whose top a rows are the
     dimension-a partial simplex; they are the first r canonical columns.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_parameters(n, 1, delta)
     code = stack_to_code(_rate_1_stack(n, delta, tables=False), 1, delta)
     if n % (1 << delta) == 0:
         return code, predicted_profile_rate_1_n(n, delta, delta)
@@ -351,18 +354,21 @@ def construct(n: int, k: int, delta: int):
 
     This is the package's one builder.  A rate-1/n code is the m-fold
     partial simplex followed by the first r = n mod 2^delta canonical
-    columns, or for delta in {3, 4} by the tabled optimal residual columns;
-    a k > 1 code is the stack of `_k_dim_stack`."""
+    columns, or for delta in {3, 4} and r a multiple of 4 by the tabled
+    optimal residual columns; a k > 1 code is the stack of `_k_dim_stack`.
+    The provenance names the columns used: the delta <= 2 tables are
+    canonical columns."""
     _check_parameters(n, k, delta)
     r = n % ((1 << delta) * ((1 << k) - 1))
     if k > 1:
         stack = _k_dim_stack(n, k, delta)
         provenance = "k-dim search extension" if r else "k-dim exact"
     else:
-        stack = _rate_1_stack(n, delta, tables=True)
+        tabled = delta in (3, 4) and r in (4, 8, 12)
+        stack = _rate_1_stack(n, delta, tables=tabled)
         if r == 0:
             provenance = "rate-1/n exact"
-        elif delta <= 4:
+        elif delta <= 2 or tabled:
             provenance = f"table-backed extension, s={r}"
         else:
             provenance = "near-optimal"

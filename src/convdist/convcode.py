@@ -69,7 +69,7 @@ class ConvCode:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Column distances d_0..d_jmax, optionally with the free distance."""
+    """Column distances d_0..d_jmax, the free distance if known, and their source."""
 
     values: tuple
     free_distance: Optional[int] = None
@@ -88,28 +88,29 @@ class DistanceProfile:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-j bounds: weight-based lower/upper, their cap, and generic bounds."""
+    """Per-j weight-based lower and upper bounds, and their cap."""
 
     lower: tuple
     upper: tuple
     cap: tuple
-    column_bounds: tuple
-    singleton: int
-    L: int
 
 
 # ---------------------------------------------------------------------------
 # Sliding matrices and column distances
 
 
+def _steps_fit(jmax: int, branch_bits: int) -> bool:
+    """Whether jmax + 1 steps of 2^branch_bits branch updates (at least
+    2^_STEP_FLOOR_BITS) stay within STEP_WORK_GUARD."""
+    return (jmax + 1) << max(branch_bits, _STEP_FLOOR_BITS) <= STEP_WORK_GUARD
+
+
 def check_jmax(jmax: int, branch_bits: int = 0) -> None:
-    """Refuse, before any work, a negative jmax, or jmax + 1 steps of
-    2^branch_bits branch updates (at least 2^_STEP_FLOOR_BITS) past
-    STEP_WORK_GUARD."""
+    """Refuse, before any work, a negative jmax, or steps past `_steps_fit`."""
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    bits = max(branch_bits, _STEP_FLOOR_BITS)
-    if (jmax + 1) << bits > STEP_WORK_GUARD:
+    if not _steps_fit(jmax, branch_bits):
+        bits = max(branch_bits, _STEP_FLOOR_BITS)
         raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
 
 
@@ -230,12 +231,6 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 # dropped bits), so every state has exactly 2^k predecessors.
 
 
-def _fits_state_tables(c: ConvCode) -> bool:
-    """Whether the 2^(memory + k) branches, with their n-bit outputs counted
-    in words, fit STATE_GUARD_BITS."""
-    return table_bits(external_degree(c) + c.k, c.n) <= STATE_GUARD_BITS
-
-
 def _state_tables(c: ConvCode):
     """Branch weights bw[u, s] and predecessors pred[d, t] = u * 2^memory + s,
     the flat index of the branch (s, u) into t that drops the bits d."""
@@ -297,20 +292,15 @@ def column_distances_trellis(c: ConvCode, jmax: int):
     return dist
 
 
-def distance_profile(
-    c: ConvCode, jmax: int, method: str = "auto", with_free: bool = False
-) -> DistanceProfile:
-    """Column-distance profile d_0..d_jmax, optionally with the free distance."""
-    if method == "auto":
-        method = "trellis" if _fits_state_tables(c) else "exhaustive"
-    if method == "exhaustive":
-        values = column_distances_exhaustive(c, jmax)
-    elif method == "trellis":
-        values = column_distances_trellis(c, jmax)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    free = free_distance(c) if with_free else None
-    return DistanceProfile(tuple(values), free, method)
+def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
+    """Column-distance profile d_0..d_jmax from the trellis when its state
+    tables and its step guard admit the job, else from the exhaustive
+    oracle, whose own guards then refuse what they cannot answer.  The
+    choice is made before any table is built."""
+    bits = external_degree(c) + c.k
+    if table_bits(bits, c.n) <= STATE_GUARD_BITS and _steps_fit(jmax, bits):
+        return DistanceProfile(tuple(column_distances_trellis(c, jmax)), None, "trellis")
+    return DistanceProfile(tuple(column_distances_exhaustive(c, jmax)), None, "exhaustive")
 
 
 def free_distance(c: ConvCode) -> int:
@@ -529,13 +519,8 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     row_weights = [[row.bit_count() for row in g.row_bits] for g in c.coeffs]
     upper = np.cumsum(row_weights, axis=0).min(axis=1)
     reach = max(c.delta, c.mu)
-    cap = tuple(c.n * (min(j, reach) + 1) for j in range(jmax + 1))
-    col = tuple(column_bound(c.n, c.k, j) for j in range(jmax + 1))
     return BoundReport(
         lower=tuple(int(lower[min(j, c.mu)]) for j in range(jmax + 1)),
         upper=tuple(int(upper[min(j, c.mu)]) for j in range(jmax + 1)),
-        cap=cap,
-        column_bounds=col,
-        singleton=singleton_bound(c.n, c.k, c.delta),
-        L=L_value(c.n, c.k, c.delta) if c.n > c.k else -1,
+        cap=tuple(c.n * (min(j, reach) + 1) for j in range(jmax + 1)),
     )

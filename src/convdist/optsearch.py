@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .convcode import (
+    MESSAGE_GUARD_BITS,
     ConvCode,
     _internal_degree,
     _min_weights,
@@ -177,37 +178,44 @@ def _tube_weights(tubes: np.ndarray, bits: int) -> np.ndarray:
     return span_weights(xor_span(_window_rows(tubes, bits), tubes.shape[1]), np.uint8)
 
 
-def _scored_orbits(n: int, k: int, delta: int, horizon: int):
-    """Yield (tubes, profiles) chunks: every orbit of delay-free (n, k, delta)
-    codes in lexicographic order, with its d_0..d_horizon.
+def price_search(n: int, k: int, delta: int, horizon: int) -> None:
+    """Refuse, before anything is built, a brute force over the delay-free
+    (n, k, delta) codes to `horizon` that a guard does not admit.
 
-    The cost guard runs before anything is enumerated.  The predicted work is
-    C(2^(k(delta+1)) + n - 1, n) orbits x 2^(k(J+1)) messages x (J + 1)
-    steps, J = max(horizon, delta), and for k > 1 each orbit also pays
-    _REPRESENTATIVE_WORK for its structural predicates.  A horizon below
+    The predicted work is C(2^(k(delta+1)) + n - 1, n) orbits x 2^(k*J)
+    messages x J steps, J = max(horizon, delta) + 1, plus, for k > 1,
+    _REPRESENTATIVE_WORK per orbit for its predicates.  A horizon below
     delta is priced as delta: nearly every orbit can tie there, and each
-    tie becomes a code."""
+    tie becomes a code.  A J whose 2^(k*J) messages alone pass the message
+    guard, which is no larger than the work guard, is refused first."""
+    if n < 1 or k < 1 or delta < 0:
+        raise ValueError("invalid parameters")
+    if k > n:
+        raise ValueError("empty enumeration space: no delay-free code has k > n")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    steps = max(horizon, delta) + 1
+    if k * steps > MESSAGE_GUARD_BITS:
+        raise ValueError(f"{k * steps} message bits exceed the exhaustion guard")
     bits = k * n * (delta + 1)
     if bits > CODE_SEARCH_GUARD_BITS:
         raise ValueError(f"2^{bits} coefficient choices exceed the search guard")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if k > n:
-        raise ValueError("empty enumeration space: no delay-free code has k > n")
-    tube_bits = k * (delta + 1)
-    orbits = math.comb((1 << tube_bits) + n - 1, n)
-    steps = max(horizon, delta) + 1
-    per_orbit = steps << (k * steps)
-    if k > 1:
-        per_orbit += _REPRESENTATIVE_WORK
+    orbits = math.comb((1 << (k * (delta + 1))) + n - 1, n)
+    per_orbit = (steps << (k * steps)) + (_REPRESENTATIVE_WORK if k > 1 else 0)
     if orbits * per_orbit > BRUTEFORCE_WORK_GUARD:
         raise ValueError(
             f"{orbits} orbits x 2^{k * steps} messages x {steps} steps "
             "exceed the brute-force work guard"
         )
+
+
+def _scored_orbits(n: int, k: int, delta: int, horizon: int):
+    """Yield (tubes, profiles) chunks: every orbit of delay-free (n, k, delta)
+    codes in lexicographic order, with its d_0..d_horizon.  The callers
+    run `price_search` first."""
     window_bits = k * (min(horizon, delta) + 1)
     rows = (1 << _BATCH_BITS) >> (k * (horizon + 1))
-    for tubes in _orbit_chunks(1 << tube_bits, n, rows):
+    for tubes in _orbit_chunks(1 << (k * (delta + 1)), n, rows):
         tubes = tubes[_in_space(tubes, k, delta)]
         if len(tubes):
             yield tubes, _min_weights(_tube_weights(tubes, window_bits), k, horizon)
@@ -244,6 +252,7 @@ def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
     """Lexicographically maximal profile d_0..d_horizon over every delay-free
     (n, k, delta) code, with one representative per column-permutation orbit
     that achieves it, in lexicographic order of the sorted tubes."""
+    price_search(n, k, delta, horizon)
     best, tubes = _best_orbits(_scored_orbits(n, k, delta, horizon), horizon + 1)
     return best, [_code_from_tubes(n, k, delta, t) for t in tubes]
 
@@ -269,8 +278,7 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     """
     if horizon is None:
         horizon = c.delta + 5
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    price_search(c.n, c.k, c.delta, horizon)
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
     best, tubes = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)

@@ -112,9 +112,8 @@ def test_criterion_05_delta2_extension_cases():
         (7, (7, 10, 13), 15),
     ]:
         code, _ = cd.construct(n, 1, 2)
-        prof = cd.distance_profile(code, 2, with_free=True)
-        assert prof.values == head
-        assert prof.free_distance == free
+        assert cd.distance_profile(code, 2).values == head
+        assert cd.free_distance(code) == free
     elapsed_under(t0, 5.0)
     report(5, "delta=2 extension residual tables and combined profiles verified")
 

@@ -148,26 +148,11 @@ class TestProfileCommand:
         assert rep["free_distance"] == 8
         assert rep["mdp"] is False
 
-    def test_methods_agree_via_cli(self, tmp_path, capsys):
-        path = tmp_path / "c.txt"
-        run(capsys, "construct", "12", "2", "2", "--out", str(path), "--quiet")
-        profiles = []
-        for method in ("exhaustive", "trellis"):
-            rc, out, _ = run(
-                capsys, "profile", str(path), "--jmax", "3", "--method", method, "--json"
-            )
-            assert rc == 0
-            profiles.append(json.loads(out)["profile"])
-        assert profiles[0] == profiles[1] == [8, 14, 14, 14]
-
-    @pytest.mark.parametrize("method", ["auto", "trellis"])
-    def test_step_guard_refuses_a_huge_jmax_at_once(self, tmp_path, capsys, method):
+    def test_step_guard_refuses_a_huge_jmax_at_once(self, tmp_path, capsys):
         path = tmp_path / "c.txt"
         run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
         t0 = time.monotonic()
-        rc, out, err = run(
-            capsys, "profile", str(path), "--jmax", "1000000000", "--method", method
-        )
+        rc, out, err = run(capsys, "profile", str(path), "--jmax", "1000000000")
         assert time.monotonic() - t0 < 1.0
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -287,6 +272,14 @@ class TestVerifyOptimalCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "work guard" in err
 
+    @pytest.mark.parametrize("delta", ["100000", "1000000"])
+    def test_params_are_priced_before_the_code_is_built(self, capsys, delta):
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "verify-optimal", "--params", "3", "1", delta)
+        assert time.monotonic() - t0 < 0.1
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_two_verdicts(self, capsys):
         rc, out, _ = run(capsys, "verify-optimal", "--params", "5", "1", "2", "--json")
         assert rc == 2
@@ -296,9 +289,9 @@ class TestVerifyOptimalCommand:
         rc, out, _ = run(capsys, "verify-optimal", "--params", "5", "1", "2")
         assert rc == 2
         assert "optimal through delta = 2 (d_0..d_2)" in out.splitlines()
-        rc, out, _ = run(capsys, "verify-optimal", "--params", "6", "1", "3")
+        rc, out, _ = run(capsys, "verify-optimal", "--params", "4", "1", "4")
         assert rc == 2
-        assert "not optimal through delta = 3 (d_0..d_3)" in out.splitlines()
+        assert "not optimal through delta = 4 (d_0..d_4)" in out.splitlines()
 
     def test_negative_horizon_is_refused(self, capsys):
         rc, out, err = run(

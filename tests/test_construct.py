@@ -18,10 +18,12 @@ from convdist.construct import (
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,
+    _rate_1_stack,
     recursive_partial_simplex_4,
     stack_to_code,
 )
 from convdist.convcode import (
+    column_distances_exhaustive,
     distance_profile,
     free_distance,
     internal_degree,
@@ -79,9 +81,8 @@ class TestRate1N:
         for m, delta in [(1, 1), (1, 2), (2, 2), (1, 3)]:
             code, _ = construct(m << delta, 1, delta)
             pred = predicted_profile_rate_1_n(m << delta, delta, delta + 3)
-            prof = distance_profile(code, delta + 3, with_free=True)
-            assert prof.values == pred.values
-            assert prof.free_distance == pred.free_distance
+            assert distance_profile(code, delta + 3).values == pred.values
+            assert free_distance(code) == pred.free_distance
 
     def test_formula_rejects_non_multiples(self):
         with pytest.raises(ValueError):
@@ -101,9 +102,10 @@ class TestExtended:
         assert coeff_strings(construct(3, 1, 2)[0]) == [["111"], ["101"], ["110"]]
 
     def test_delta3_table_row(self):
-        code, _ = construct(11, 1, 3)
+        # s = 4: the tabled residual columns follow the canonical period
+        code, _ = construct(12, 1, 3)
         assert code.coeffs[3].row_strings() == [
-            partial_simplex(4).row_strings()[3] + OPT_ROW_D3[:3]
+            partial_simplex(4).row_strings()[3] + OPT_ROW_D3[:4]
         ]
 
     def test_delta4_recursive_layout(self):
@@ -114,10 +116,48 @@ class TestExtended:
         assert sorted(top.column(j).to_string() for j in range(16)) == sorted(
             canonical.column(j).to_string() for j in range(16)
         )
-        code, _ = construct(16 + 5, 1, 4)
+        code, _ = construct(16 + 8, 1, 4)
         assert code.coeffs[4].row_strings() == [
-            partial_simplex(5).row_strings()[4] + OPT_ROW_D4[:5]
+            partial_simplex(5).row_strings()[4] + OPT_ROW_D4[:8]
         ]
+
+    # (n, delta) -> d_0..d_delta: the survivor-search optimum, reached since
+    # these residues keep the canonical columns instead of the tabled ones
+    CANONICAL_RESIDUES = {
+        (6, 3): (6, 9, 11, 14),
+        (14, 3): (14, 21, 27, 34),
+        (22, 3): (22, 33, 43, 54),
+        (5, 4): (5, 7, 9, 11, 13),
+        (21, 4): (21, 31, 41, 51, 61),
+        (6, 4): (6, 9, 11, 14, 16),
+        (22, 4): (22, 33, 43, 54, 64),
+        (10, 4): (10, 15, 19, 24, 28),
+        (26, 4): (26, 39, 51, 64, 76),
+        (13, 4): (13, 19, 25, 31, 37),
+        (29, 4): (29, 43, 57, 71, 85),
+        (14, 4): (14, 21, 27, 34, 40),
+        (30, 4): (30, 45, 59, 74, 88),
+    }
+
+    def test_residue_rule(self):
+        # tabled residual columns only at s = 4, 8, 12; at every s the code
+        # is at least as good through delta as either column choice alone
+        for delta in (3, 4):
+            for n in range(1, 4 << delta):
+                s = n % (1 << delta)
+                if s == 0:
+                    continue
+                code, provenance = construct(n, 1, delta)
+                tabled = s % 4 == 0
+                assert provenance == (f"table-backed extension, s={s}" if tabled else "near-optimal")
+                got = tuple(column_distances_exhaustive(code, delta))
+                for tables in (False, True):
+                    other = stack_to_code(_rate_1_stack(n, delta, tables), 1, delta)
+                    assert got >= tuple(column_distances_exhaustive(other, delta))
+                bound = near_optimal_bound_profile(n, delta, delta).values
+                assert all(d >= b for d, b in zip(got, bound))
+                if (n, delta) in self.CANONICAL_RESIDUES:
+                    assert got == self.CANONICAL_RESIDUES[n, delta]
 
 
 def nested_block_stack(m, r, delta):

@@ -94,10 +94,21 @@ class TestDistances:
             free_distance(CATASTROPHIC)
 
     def test_distance_profile_auto(self):
-        prof = distance_profile(REP_412, 4, with_free=True)
+        prof = distance_profile(REP_412, 4)
         assert prof.values == (4, 6, 8, 8, 8)
-        assert prof.free_distance == 8
+        assert prof.free_distance is None
         assert prof.method == "trellis"
+
+    def test_distance_profile_asks_the_step_guard(self):
+        # memory + k = 24 fits the state tables, but 21 steps of 2^24 branch
+        # updates pass the step guard; the exhaustive oracle answers at once
+        c = code_from_rows(["1111"] + ["0000"] * 22 + ["1000"])
+        assert external_degree(c) + c.k == STATE_GUARD_BITS
+        with pytest.raises(ValueError, match="step guard"):
+            column_distances_trellis(c, 20)
+        prof = distance_profile(c, 20)
+        assert prof.method == "exhaustive"
+        assert prof.values[20] == 4
 
     def test_delta_zero(self):
         c = code_from_rows(["111"])
@@ -139,7 +150,10 @@ class TestDistances:
         rows = ["1" * 130] + ["0" * 130] * 21 + ["1" + "0" * 129]
         c = code_from_rows(rows)
         assert external_degree(c) + c.k == STATE_GUARD_BITS - 1
-        assert convcode._fits_state_tables(code_from_rows([r[:64] for r in rows]))
+        # the same rows cut to 64 columns fit, and go to the trellis
+        monkeypatch.setattr(convcode, "column_distances_trellis", lambda c, jmax: [64] * 3)
+        assert distance_profile(code_from_rows([r[:64] for r in rows]), 2).method == "trellis"
+        monkeypatch.undo()
 
         def no_tables(*args):
             raise AssertionError("state tables built past the guard")
@@ -255,8 +269,6 @@ class TestBounds:
         prof = distance_profile(REP_412, 5).values
         assert rep.lower == prof == rep.upper  # tight on this construction
         assert all(u <= c for u, c in zip(rep.upper, rep.cap))
-        assert rep.singleton == 12
-        assert rep.L == 2
 
     def test_row_weight_bounds_refuse_negative_jmax(self):
         with pytest.raises(ValueError, match="jmax must be >= 0"):

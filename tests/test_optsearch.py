@@ -140,6 +140,14 @@ class TestBruteForce:
             optimal_codes_bruteforce(1, 1, 23, 0)
         assert time.monotonic() - t0 < 1.0
 
+    def test_deep_horizon_is_refused_before_pricing_orbits(self):
+        # 2^(k * steps) messages alone pass the guard; no such number is formed
+        assert 1 << convcode.MESSAGE_GUARD_BITS <= optsearch.BRUTEFORCE_WORK_GUARD
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="message bits"):
+            optimal_codes_bruteforce(2, 1, 1, 10**9)
+        assert time.monotonic() - t0 < 0.1
+
     def test_k_above_n_is_refused_before_enumerating(self):
         with pytest.raises(ValueError, match="empty enumeration space"):
             optimal_codes_bruteforce(2, 3, 1, 1)
@@ -324,10 +332,9 @@ def test_optimal_through_delta_but_not_to_delta_plus_5():
     assert time.monotonic() - t0 < 2.0
 
 
-# (n, delta) -> (the construction's d_0..d_delta, the optimum).  Both are
-# table-backed extensions with m = 0 that fall one short at j = delta.
+# (n, delta) -> (the construction's d_0..d_delta, the optimum).  A
+# table-backed extension with m = 0 that falls one short at j = delta.
 KNOWN_SHORTFALLS = {
-    (6, 3): ((6, 9, 11, 13), (6, 9, 11, 14)),
     (4, 4): ((4, 6, 8, 9, 9), (4, 6, 8, 9, 10)),
 }
 
