@@ -5,6 +5,7 @@ import pytest
 
 from convdist.cli import format_code_file, main, parse_code_file
 from convdist.construct import REFERENCE_TABLES, construct
+from convdist.convcode import distance_profile
 
 
 def run(capsys, *argv):
@@ -148,9 +149,21 @@ class TestProfileCommand:
         assert rep["free_distance"] == 8
         assert rep["mdp"] is False
 
-    def test_step_guard_refuses_a_huge_jmax_at_once(self, tmp_path, capsys):
+    # trellis: a code the trellis takes at a small jmax; auto: a code past
+    # the trellis state guard, where the automatic choice is the exhaustive
+    # oracle.  Either way the step guard refuses before any work.
+    @pytest.mark.parametrize(
+        "text,picks",
+        [("2 1 25\n11\n" + "00\n" * 24 + "10\n", "exhaustive"), (None, "trellis")],
+        ids=["auto", "trellis"],
+    )
+    def test_step_guard_refuses_a_huge_jmax_at_once(self, tmp_path, capsys, text, picks):
         path = tmp_path / "c.txt"
-        run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        if text is None:
+            run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        else:
+            path.write_text(text)
+        assert distance_profile(parse_code_file(path.read_text()), 3).method == picks
         t0 = time.monotonic()
         rc, out, err = run(capsys, "profile", str(path), "--jmax", "1000000000")
         assert time.monotonic() - t0 < 1.0
