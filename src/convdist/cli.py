@@ -143,11 +143,21 @@ def _flags(code: cc.ConvCode, external: int) -> dict:
     }
 
 
+def _mdp(code: cc.ConvCode, values: tuple) -> Optional[bool]:
+    """Whether d_L meets the generic bound: read off `values` when they reach
+    L, else from a profile to L if its guards admit one, else None."""
+    L = cc.L_value(code.n, code.k, code.delta)
+    if L < len(values):
+        return values[L] == cc.column_bound(code.n, code.k, L)
+    try:
+        return cc.is_mdp(code)
+    except ValueError:  # a guard refused the profile to L before any work
+        return None
+
+
 def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
     cc.check_jmax(jmax)
-    # one profile, deep enough for the MDP test at L
-    L = cc.L_value(code.n, code.k, code.delta) if code.n > code.k else None
-    profile = cc.distance_profile(code, max(jmax, L or 0))
+    profile = cc.distance_profile(code, jmax)
     flags = _flags(code, cc.external_degree(code))
     if want_free and not flags["noncatastrophic"]:
         raise ValueError("free distance is a limit that a catastrophic code need not attain")
@@ -155,14 +165,14 @@ def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
         "n": code.n,
         "k": code.k,
         "delta": code.delta,
-        "profile": list(profile.values[: jmax + 1]),
+        "profile": list(profile.values),
         "free_distance": cc.free_distance(code) if want_free else None,
         "method": profile.method,
         **flags,
         "column_bounds": [cc.column_bound(code.n, code.k, j) for j in range(jmax + 1)],
     }
-    if L is not None:
-        report["mdp"] = profile.values[L] == cc.column_bound(code.n, code.k, L)
+    if code.n > code.k:
+        report["mdp"] = _mdp(code, profile.values)
     return report
 
 

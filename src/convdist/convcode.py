@@ -20,8 +20,9 @@ from .gf2core import (
 MESSAGE_GUARD_BITS = 30
 # Largest loop over j accepted, in branch updates: jmax + 1 steps of
 # max(2^(memory + k), 2^_STEP_FLOOR_BITS) branches each.  The smallest
-# trellis step costs about 12.5 us, as much as 2^12 branch updates, so the
-# guard admits about a second of such steps.
+# trellis step costs about 5 us, as much as 2^12 branch updates of a large
+# step (about 1 ns each), so the guard admits about a third of a second of
+# such steps.
 STEP_WORK_GUARD = 1 << 28
 _STEP_FLOOR_BITS = 12
 _CHUNK_BITS = 22
@@ -225,51 +226,49 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 # State tables of the direct-form encoder and the trellis algorithms
 #
 # The encoder keeps one shift register of length nu_r per input row; state
-# bit (offset_r + d - 1) holds the input of row r from d steps ago.  A branch
-# (s, u) leads to the next state t and drops, per row, the oldest register
-# bit (or u_r itself when nu_r = 0).  That map is a bijection onto (t,
-# dropped bits), so every state has exactly 2^k predecessors.
+# bit (offset_r + nu_r - e) holds the input of row r from e steps ago.  A
+# branch (s, u) is numbered as s with u_r put on top of register r, and it
+# leads to the state t that is that number with the lowest bit of each
+# register dropped (u_r itself when nu_r = 0).  That map is a bijection onto
+# (t, dropped bits), so the 2^k predecessors of t form a butterfly, and one
+# minimum of two halves per dropped bit takes the place of a predecessor
+# table.
 
 
 def _state_tables(c: ConvCode):
-    """Branch weights bw[u, s] and predecessors pred[d, t] = u * 2^memory + s,
-    the flat index of the branch (s, u) into t that drops the bits d."""
+    """Branch weights and the butterfly plan of `_min_plus_step`.
+
+    bw has two axes per row, from the last row down: u_r and register r of
+    the start state.  The plan is the shape that broadcasts the labels of
+    the start states over the u_r axes, and, for each row r, the number of
+    states below register r, 2^offset_r."""
     guard_table(external_degree(c) + c.k, c.n, "state-table")
-    k, nus = c.k, row_degrees(c)
-    memory = sum(nus)
-    # Span bit i < memory is state bit i, bit memory + r is u_r.
-    rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(1, nu + 1)]
-    rows += c.coeffs[0].row_bits
-    bw = span_weights(xor_span(rows, c.n), np.int32).reshape(1 << k, 1 << memory)
-    # Inverse of the branch map: register r of t holds u_r in its lowest bit
-    # and the newer bits of s's register above it; d_r is s's oldest bit.
-    t = np.arange(1 << memory, dtype=np.int32)
-    d = np.arange(1 << k, dtype=np.int32)
-    from_t = np.zeros_like(t)
-    from_d = np.zeros_like(d)
-    off = 0
-    for r, nu in enumerate(nus):
-        if nu:
-            reg = (t >> off) & ((1 << nu) - 1)
-            from_t |= ((reg >> 1) << off) | ((reg & 1) << (memory + r))
-            from_d |= ((d >> r) & 1) << (off + nu - 1)
-        else:
-            from_d |= ((d >> r) & 1) << (memory + r)
-        off += nu
-    return bw, from_d[:, None] | from_t
+    nus = row_degrees(c)
+    # Span bit offset_r + r + e is the input of row r from nu_r - e steps
+    # before the branch, which multiplies G_{nu_r - e}; e = nu_r is u_r.
+    rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(nu, -1, -1)]
+    bw = span_weights(xor_span(rows, c.n), np.int32)
+    shape, label_shape = [], []
+    for nu in reversed(nus):
+        shape += [2, 1 << nu]
+        label_shape += [1, 1 << nu]
+    below = [1 << sum(nus[:r]) for r in range(c.k)]
+    return bw.reshape(shape), (label_shape, below)
 
 
-def _min_plus_step(cur, bw, pred, leave_zero: bool = False):
+def _min_plus_step(cur, bw, plan, leave_zero: bool = False):
     """Cheapest arrival at every state after one more branch; with
     `leave_zero` the all-zero branch from the zero state is excluded."""
-    total = cur + bw
+    label_shape, below = plan
+    total = cur.reshape(label_shape) + bw
     if leave_zero:
-        total[0, 0] = _INF
-    # one row of pred at a time: np.take widens int32 indices to intp
-    best = np.take(total, pred[0])
-    for row in pred[1:]:
-        np.minimum(best, np.take(total, row), out=best)
-    return best
+        total.flat[0] = _INF
+    # once the registers below r have lost their dropped bits, register r's
+    # sits just above the 2^offset_r states below it
+    for inner in below:
+        halves = total.reshape(-1, 2, inner)
+        total = np.minimum(halves[:, 0], halves[:, 1])
+    return total.reshape(-1)
 
 
 def _from_zero_state(size: int):
@@ -283,11 +282,11 @@ def column_distances_trellis(c: ConvCode, jmax: int):
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
     check_jmax(jmax, external_degree(c) + c.k)
-    bw, pred = _state_tables(c)
-    cur = _min_plus_step(_from_zero_state(bw.shape[1]), bw, pred, leave_zero=True)
+    bw, plan = _state_tables(c)
+    cur = _min_plus_step(_from_zero_state(bw.size >> c.k), bw, plan, leave_zero=True)
     dist = [int(cur.min())]
     for _ in range(jmax):
-        cur = _min_plus_step(cur, bw, pred)
+        cur = _min_plus_step(cur, bw, plan)
         dist.append(int(cur.min()))
     return dist
 
@@ -314,11 +313,11 @@ def free_distance(c: ConvCode) -> int:
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    bw, pred = _state_tables(c)
-    labels = _from_zero_state(bw.shape[1])
+    bw, plan = _state_tables(c)
+    labels = _from_zero_state(bw.size >> c.k)
     best, leave_zero = _INF, True
     while True:
-        cand = _min_plus_step(labels, bw, pred, leave_zero)
+        cand = _min_plus_step(labels, bw, plan, leave_zero)
         best = min(best, int(cand[0]))
         cand[0] = labels[0] = _INF
         np.minimum(cand, labels, out=cand)

@@ -5,7 +5,7 @@ import pytest
 
 from convdist.cli import format_code_file, main, parse_code_file
 from convdist.construct import REFERENCE_TABLES, construct
-from convdist.convcode import distance_profile
+from convdist.convcode import column_distances_trellis, distance_profile
 
 
 def run(capsys, *argv):
@@ -148,6 +148,22 @@ class TestProfileCommand:
         assert rep["profile"] == [4, 6, 8, 8, 8, 8, 8, 8]
         assert rep["free_distance"] == 8
         assert rep["mdp"] is False
+
+    def test_mdp_past_jmax(self, tmp_path, capsys):
+        # (4,1,2): L = 2 > jmax, and the profile to L is cheap
+        path = tmp_path / "c.txt"
+        run(capsys, "construct", "4", "1", "2", "--out", str(path), "--quiet")
+        rc, out, _ = run(capsys, "profile", str(path), "--jmax", "1", "--json")
+        assert rc == 0
+        assert json.loads(out)["mdp"] is False
+        # (2,1,22): L = 44, whose profile every guard refuses; d_0..d_5 is
+        # answered and mdp is left unknown
+        run(capsys, "construct", "2", "1", "22", "--out", str(path), "--quiet")
+        rc, out, err = run(capsys, "profile", str(path), "--jmax", "5", "--json")
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert rep["profile"] == column_distances_trellis(parse_code_file(path.read_text()), 5)
+        assert rep["mdp"] is None
 
     # trellis: a code the trellis takes at a small jmax; auto: a code past
     # the trellis state guard, where the automatic choice is the exhaustive
