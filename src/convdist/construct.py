@@ -29,7 +29,7 @@ from .convcode import (
     internal_degree,
     is_noncatastrophic,
 )
-from .gf2core import BitMatrix, hstack, np
+from .gf2core import BitMatrix, guard_table, hstack, np, transpose
 from .optsearch import search_optimal_row
 from .simplex import canonical_stack, m_fold, partial_simplex
 
@@ -83,12 +83,8 @@ def _residual_code_profile(rows, jmax=5):
     """Profile of a code stacked from 0/1 row strings (trailing zero
     coefficient rows trimmed), together with the limiting distance: the free
     distance when non-catastrophic, else the saturated column distance."""
-    row_bits = [BitMatrix.from_strings([r]).row_bits[0] for r in rows]
-    while len(row_bits) > 1 and row_bits[-1] == 0:
-        row_bits.pop()
-    n = len(rows[0])
-    coeffs = tuple(BitMatrix(n, (rb,)) for rb in row_bits)
-    code = ConvCode(n, 1, coeffs, len(row_bits) - 1)
+    mu = max((i for i, r in enumerate(rows) if "1" in r), default=0)
+    code = stack_to_code(BitMatrix.from_strings(rows[: mu + 1]), 1, mu)
     prof = distance_profile(code, max(jmax, 10))
     if is_noncatastrophic(code):
         limit = free_distance(code)
@@ -143,11 +139,13 @@ REFERENCE_TABLES = {
 
 
 def _check_parameters(n: int, k: int, delta: int) -> None:
-    """Refuse (n, k, delta) that no code has, before any work."""
+    """Refuse, before any work, (n, k, delta) that no code has, and a stack
+    of delta + k rows of n bits past the memory guard."""
     if n < 1 or k < 1 or delta < 0:
         raise ValueError("invalid parameters")
     if k > n:
         raise ValueError(f"need k <= n, got k={k} > n={n}")
+    guard_table((delta + k - 1).bit_length(), n, "stack")
 
 
 def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
@@ -160,15 +158,9 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
     _check_parameters(stack.cols, k, delta)
     if stack.rows != delta + k:
         raise ValueError("stacked matrix must have delta+k rows")
-    n = stack.cols
-    mu = -(-delta // k)
-    coeffs = []
-    for i in range(mu):
-        coeffs.append(BitMatrix(n, stack.row_bits[i * k : (i + 1) * k]))
-    tilde = stack.row_bits[mu * k :]
-    if tilde:
-        coeffs.append(BitMatrix(n, tuple(tilde) + (0,) * (k - len(tilde))))
-    code = ConvCode(n, k, tuple(coeffs), delta)
+    rows = stack.row_bits + (0,) * (-(delta + k) % k)
+    coeffs = [BitMatrix(stack.cols, rows[i : i + k]) for i in range(0, delta + k, k)]
+    code = ConvCode(stack.cols, k, tuple(coeffs), delta)
     degree = internal_degree(code)
     if degree != delta:
         raise ValueError(
@@ -319,19 +311,14 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
         )
     msg_type = np.min_scalar_type((1 << (delta + k)) - 1)
     messages = np.arange(1, 1 << (delta + k), dtype=msg_type)
-    # Canonical column j is (t, w) = (T - j mod T, 2^delta - 1 - j div T),
-    # T = 2^k - 1.  Its bit i is row i: bit k - 1 - i of t for i < k, then w.
-    j = np.arange(base_len)
-    t = (1 << k) - 1 - j % ((1 << k) - 1)
-    w = (1 << delta) - 1 - j // ((1 << k) - 1)
-    pool = sum(((t >> (k - 1 - i)) & 1) << i for i in range(k)) | (w << k)
-    pool = pool.astype(msg_type)
+    # canonical column j, with row i at bit i
+    pool = np.array(transpose(canonical_stack(k, delta, base_len).row_bits, base_len), msg_type)
     free = np.ones(len(pool), dtype=bool)
     # weight[u]: weight of message u's codeword on the columns chosen so far
     weight = np.zeros(len(messages), dtype=np.min_scalar_type(r))
     piece = max(1, (1 << _CHUNK_BITS) // len(messages))  # candidates scored at once
-    rows = [0] * (delta + k)
-    for c in range(r):
+    chosen = []
+    for _ in range(r):
         cands = np.flatnonzero(free)
         score = np.concatenate([
             (weight[:, None] + (np.bitwise_count(messages[:, None] & pool[part]) & 1)).min(axis=0)
@@ -340,8 +327,8 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
         best = cands[np.argmax(score)]  # ties go to the smallest index
         free[best] = False
         weight += np.bitwise_count(messages & pool[best]) & 1
-        rows = [row | (((int(pool[best]) >> i) & 1) << c) for i, row in enumerate(rows)]
-    ext = BitMatrix(r, tuple(rows))
+        chosen.append(int(pool[best]))
+    ext = BitMatrix(r, tuple(transpose(chosen, delta + k)))
     return hstack([canonical_stack(k, delta, n - r), ext])
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .gf2core import (
     TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, np,
-    poly_divmod, poly_mul, rank, span_weights, table_bits, xor_span,
+    poly_divmod, poly_mul, rank, span_weights, transpose, xor_span,
 )
 
 MESSAGE_GUARD_BITS = 30
@@ -100,18 +100,14 @@ class BoundReport:
 # Sliding matrices and column distances
 
 
-def _steps_fit(jmax: int, branch_bits: int) -> bool:
-    """Whether jmax + 1 steps of 2^branch_bits branch updates (at least
-    2^_STEP_FLOOR_BITS) stay within STEP_WORK_GUARD."""
-    return (jmax + 1) << max(branch_bits, _STEP_FLOOR_BITS) <= STEP_WORK_GUARD
-
-
 def check_jmax(jmax: int, branch_bits: int = 0) -> None:
-    """Refuse, before any work, a negative jmax, or steps past `_steps_fit`."""
+    """Refuse, before any work, a negative jmax, or jmax + 1 steps of
+    2^branch_bits branch updates (at least 2^_STEP_FLOOR_BITS) past
+    STEP_WORK_GUARD."""
     if jmax < 0:
         raise ValueError("jmax must be >= 0")
-    if not _steps_fit(jmax, branch_bits):
-        bits = max(branch_bits, _STEP_FLOOR_BITS)
+    bits = max(branch_bits, _STEP_FLOOR_BITS)
+    if (jmax + 1) << bits > STEP_WORK_GUARD:
         raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
 
 
@@ -277,11 +273,24 @@ def _from_zero_state(size: int):
     return start
 
 
+def _trellis_refusal(c: ConvCode, jmax: int) -> Optional[str]:
+    """Why the trellis refuses d_0..d_jmax of c, from its step guard and its
+    state-table guard, or None when both admit the job.  Nothing is built."""
+    bits = external_degree(c) + c.k
+    try:
+        check_jmax(jmax, bits)
+        guard_table(bits, c.n, "state-table")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def column_distances_trellis(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by minimum-weight traversal of the encoder states."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
-    check_jmax(jmax, external_degree(c) + c.k)
+    if refusal := _trellis_refusal(c, jmax):
+        raise ValueError(refusal)
     bw, plan = _state_tables(c)
     cur = _min_plus_step(_from_zero_state(bw.size >> c.k), bw, plan, leave_zero=True)
     dist = [int(cur.min())]
@@ -296,8 +305,7 @@ def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
     tables and its step guard admit the job, else from the exhaustive
     oracle, whose own guards then refuse what they cannot answer.  The
     choice is made before any table is built."""
-    bits = external_degree(c) + c.k
-    if table_bits(bits, c.n) <= STATE_GUARD_BITS and _steps_fit(jmax, bits):
+    if _trellis_refusal(c, jmax) is None:
         return DistanceProfile(tuple(column_distances_trellis(c, jmax)), None, "trellis")
     return DistanceProfile(tuple(column_distances_exhaustive(c, jmax)), None, "exhaustive")
 
@@ -440,15 +448,12 @@ def is_noncatastrophic(c: ConvCode) -> bool:
     i in turn, Euclid's algorithm on the columns not yet used as pivots
     leaves one column with a nonzero entry in row i, the pivot.  That brings
     G(z) to [L | 0] with L lower triangular, whose maximal minors have gcd
-    det L, the product of the pivots.
+    det L, the product of the pivots.  Equal columns are taken once:
+    subtracting one from its twin leaves a zero column, in no nonzero minor.
     """
-    cols = [[0] * c.k for _ in range(c.n)]
-    for r in range(c.k):
-        for i, g in enumerate(c.coeffs):
-            bits = g.row_bits[r]
-            while bits:
-                cols[(bits & -bits).bit_length() - 1][r] |= 1 << i
-                bits &= bits - 1
+    # entry r of column j is entry (r, j) of G(z): bit i is bit j of row r of G_i
+    entries = [transpose([g.row_bits[r] for g in c.coeffs], c.n) for r in range(c.k)]
+    cols = [list(col) for col in set(zip(*entries))]
     pivots = []
     for i in range(c.k):
         live = [col for col in cols if col[i]]

@@ -4,8 +4,11 @@ Vectors and matrix rows are stored as Python ints with coordinate 0 in the
 least significant bit, so Hamming weights are popcounts and row operations
 are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the package needs only their product and
-division.  Every codeword-weight enumeration in the package goes through
-one numpy kernel, `xor_span`.
+division.  Rows become columns through `transpose`, and ints become 0/1
+strings and back through one base-2 codec, both in linear time.  Every
+codeword-weight enumeration goes through one numpy kernel, `xor_span`,
+except the k > 1 column extension in `construct`, which scores each
+candidate column by the parity of its AND with every message.
 
 numpy is bound here, and only here, as `np`: the other modules import it
 from this one.  Unless numpy was already imported, it loads on the first
@@ -44,6 +47,20 @@ TABLE_GUARD_BITS = 24
 _WORD_MASK = (1 << 64) - 1
 
 
+def _bit_string(bits: int, width: int) -> str:
+    """The `width`-bit int `bits` as 0/1 characters, bit 0 first.  The bit
+    set at `width` keeps the leading zeros, and is cut off again."""
+    return format(bits | 1 << width, "b")[:0:-1]
+
+
+def transpose(vectors: Sequence[int], width: int) -> list:
+    """Entry j is column j of the matrix whose rows are the `width`-bit
+    `vectors`, with row i at bit i, in time linear in the matrix size."""
+    # the last row is the top digit; a zero row keeps the width of no rows
+    rows = [_bit_string(v, width) for v in reversed(vectors)]
+    return [int("".join(col), 2) for col in zip("0" * width, *rows)]
+
+
 @dataclass(frozen=True)
 class BitVec:
     """Binary vector of fixed length n; coordinate i lives at bit i."""
@@ -69,7 +86,7 @@ class BitVec:
         return cls(length, bits)
 
     def to_string(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
+        return _bit_string(self.bits, self.n)
 
     def __repr__(self) -> str:
         return f"BitVec({self.to_string()!r})"
@@ -95,25 +112,21 @@ class BitMatrix:
         return len(self.row_bits)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        rows = [list(r) for r in rows]
+    def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
+        """The matrix whose row i is the 0/1 string rows[i], column 0 first."""
         if not rows:
             raise ValueError("empty matrix")
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls(cols, tuple(BitVec.from_bits(r).bits for r in rows))
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
-        return cls.from_rows([[int(ch) for ch in r] for r in rows])
+        for r in rows:
+            if r.strip("01"):
+                raise ValueError(f"non-binary row {r!r}")
+        return cls(cols, [int("0" + r[::-1], 2) for r in rows])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
         return cls(cols, (0,) * rows)
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.cols, self.row_bits[i])
 
     def column(self, j: int) -> BitVec:
         if not 0 <= j < self.cols:
@@ -130,7 +143,7 @@ class BitMatrix:
         return all(r == 0 for r in self.row_bits)
 
     def row_strings(self):
-        return [self.row(i).to_string() for i in range(self.rows)]
+        return [_bit_string(r, self.cols) for r in self.row_bits]
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.row_strings()})"

@@ -27,7 +27,7 @@ from .convcode import (
     column_distances_exhaustive,
 )
 from .gf2core import (
-    _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
+    _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, transpose, xor_span,
 )
 
 CODE_SEARCH_GUARD_BITS = 24
@@ -131,13 +131,8 @@ def _orbit_chunks(values: int, n: int, rows: int):
 
 def _code_from_tubes(n: int, k: int, delta: int, tubes) -> ConvCode:
     """The code whose column c is tubes[c], trailing zero G_i trimmed."""
-    coeffs = []
-    for i in range(delta + 1):
-        rows = tuple(
-            sum(((int(t) >> (i * k + r)) & 1) << c for c, t in enumerate(tubes))
-            for r in range(k)
-        )
-        coeffs.append(BitMatrix(n, rows))
+    rows = transpose([int(t) for t in tubes], k * (delta + 1))
+    coeffs = [BitMatrix(n, tuple(rows[i * k : (i + 1) * k])) for i in range(delta + 1)]
     while len(coeffs) > 1 and coeffs[-1].is_zero():
         coeffs.pop()
     return ConvCode(n, k, tuple(coeffs), delta)
@@ -260,10 +255,8 @@ def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
 def _tubes(rows, n: int, k: int, mu: int):
     """Sorted column tubes through G_mu of the k rows of G(z), row r packed
     with the z^i coefficient of entry j at bit i*n + j."""
-    return sorted(
-        sum((g >> (i * n + j) & 1) << (i * k + r) for i in range(mu + 1) for r, g in enumerate(rows))
-        for j in range(n)
-    )
+    mask = (1 << n) - 1
+    return sorted(transpose([(g >> (i * n)) & mask for i in range(mu + 1) for g in rows], n))
 
 
 def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerdict:

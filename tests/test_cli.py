@@ -5,7 +5,7 @@ import pytest
 
 from convdist.cli import format_code_file, main, parse_code_file
 from convdist.construct import REFERENCE_TABLES, construct
-from convdist.convcode import column_distances_trellis, distance_profile
+from convdist.convcode import column_distances_trellis, distance_profile, is_noncatastrophic
 
 
 def run(capsys, *argv):
@@ -46,6 +46,15 @@ class TestCodeFileFormat:
             parse_code_file("2 1\n11\n10\n")
         with pytest.raises(ValueError):
             parse_code_file("2 1 1\n11\n1x\n")
+
+    def test_long_code_takes_linear_time(self):
+        # every row/column and int/string conversion on the way is linear in n
+        t0 = time.monotonic()
+        code, _ = construct(200_000, 1, 3)
+        back = parse_code_file(format_code_file(code))
+        assert back == code
+        assert is_noncatastrophic(back)
+        assert time.monotonic() - t0 < 3.0
 
 
 def assert_one_line_error(capsys, path):
@@ -136,6 +145,16 @@ class TestConstructCommand:
         rc, out, err = run(capsys, "construct", *params, "--out", str(path))
         assert rc == 1 and out == "" and not path.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("params", [("10000000000", "1", "1"), ("2", "1", "1000000000")])
+    def test_stack_past_the_memory_guard_is_refused_at_once(self, capsys, params):
+        # 2 rows of 10^10 bits, or 10^9 + 1 rows of 2 bits
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "construct", *params, "--quiet")
+        assert time.monotonic() - t0 < 0.1
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "stack bits exceed the memory guard" in err
 
 
 class TestProfileCommand:

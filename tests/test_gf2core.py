@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convdist
 from convdist.gf2core import (
@@ -14,6 +16,7 @@ from convdist.gf2core import (
     hstack,
     rank,
     span_weights,
+    transpose,
     vstack,
     xor_span,
 )
@@ -52,6 +55,24 @@ class TestBitMatrix:
         assert rank(BitMatrix.from_strings(["100", "010", "001"])) == 3
         assert rank(BitMatrix.zeros(3, 4)) == 0
 
+    def test_string_codec_round_trip(self):
+        rng = random.Random(9)
+        for rows, cols in [(1, 0), (3, 0), (1, 1), (2, 65), (4, 130), (5, 7)]:
+            strings = ["".join(rng.choice("01") for _ in range(cols)) for _ in range(rows)]
+            m = BitMatrix.from_strings(strings)
+            assert (m.rows, m.cols) == (rows, cols)
+            assert m.row_strings() == strings
+            assert [BitVec(cols, r).to_string() for r in m.row_bits] == strings
+            # column 0 is the first character, and the least significant bit
+            assert all(m.entry(i, 0) == int(r[0]) for i, r in enumerate(strings) if cols)
+        for bad in (["10", "1x"], ["1_0"], [" 10"], ["+1"], ["0b1"], ["12"]):
+            with pytest.raises(ValueError, match="non-binary"):
+                BitMatrix.from_strings(bad)
+        with pytest.raises(ValueError, match="ragged"):
+            BitMatrix.from_strings(["101", "10"])
+        with pytest.raises(ValueError, match="empty"):
+            BitMatrix.from_strings([])
+
     def test_stacking(self):
         a = BitMatrix.from_strings(["11", "00"])
         b = BitMatrix.from_strings(["01", "10"])
@@ -59,6 +80,32 @@ class TestBitMatrix:
         assert vstack([a, b]).row_strings() == ["11", "00", "01", "10"]
         with pytest.raises(ValueError):
             hstack([a, BitMatrix.from_strings(["1"])])
+
+
+@st.composite
+def matrices(draw):
+    """A random rows x cols matrix, with width 0, one row and more than 64
+    columns among the shapes."""
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.sampled_from([0, 1, 2, 7, 63, 64, 65, 130]))
+    return BitMatrix(cols, tuple(draw(st.integers(0, (1 << cols) - 1)) for _ in range(rows)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_transpose_gives_the_columns(m):
+    columns = transpose(m.row_bits, m.cols)
+    assert len(columns) == m.cols
+    assert columns == [m.column(j).bits for j in range(m.cols)]
+    assert transpose(columns, m.rows) == list(m.row_bits)
+
+
+def test_transpose_bit_order():
+    # row i lands at bit i of every column, column j is bit j of every row
+    assert transpose([0b001, 0b110], 3) == [0b01, 0b10, 0b10]
+    assert transpose([0b1], 1) == [1]
+    assert transpose([], 3) == [0, 0, 0]
+    assert transpose([0, 0], 0) == []
 
 
 class TestPoly2:

@@ -35,6 +35,8 @@ REMOVED_METHODS = [
     (BitVec, "__and__"),
     (BitVec, "weight"),
     (BitVec, "from_string"),
+    (BitMatrix, "from_rows"),
+    (BitMatrix, "row"),
 ]
 
 
