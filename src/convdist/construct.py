@@ -24,9 +24,10 @@ from .convcode import (
     _CHUNK_BITS,
     ConvCode,
     DistanceProfile,
+    _internal_degree,
+    _stacked_code,
     distance_profile,
     free_distance,
-    internal_degree,
     is_noncatastrophic,
 )
 from .gf2core import BitMatrix, guard_table, hstack, np, transpose
@@ -140,61 +141,55 @@ REFERENCE_TABLES = {
 
 def _check_parameters(n: int, k: int, delta: int) -> None:
     """Refuse, before any work, (n, k, delta) that no code has, and a stack
-    of delta + k rows of n bits past the memory guard."""
+    past the memory guard.  Packing G(z) adds each of the delta + k stacked
+    rows, shifted, into a row of ceil(delta/k) + 1 blocks of n bits, one
+    block per coefficient matrix, so the stack is priced as delta + k rows
+    of that width: the packing time grows as delta^2, and the coefficient
+    matrices take memory in proportion to delta/k + 1."""
     if n < 1 or k < 1 or delta < 0:
         raise ValueError("invalid parameters")
     if k > n:
         raise ValueError(f"need k <= n, got k={k} > n={n}")
-    guard_table((delta + k - 1).bit_length(), n, "stack")
+    guard_table((delta + k - 1).bit_length(), (-(-delta // k) + 1) * n, "stack")
 
 
 def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
-    """Slice a (delta+k)-row stacked matrix into coefficient matrices.
-
-    G_0..G_{mu-1} take k rows each; the remaining delta+k-k*mu rows become
-    the top of G_mu, whose last rows are padded with zeros.  A stack whose
-    code has internal degree other than delta is refused.
+    """The code of a (delta+k)-row stacked matrix: row i*k + r is row r of
+    G_i, as `convcode._stacked_code` lays it out.  A stack whose code has
+    internal degree other than delta is refused.
     """
     _check_parameters(stack.cols, k, delta)
     if stack.rows != delta + k:
         raise ValueError("stacked matrix must have delta+k rows")
-    rows = stack.row_bits + (0,) * (-(delta + k) % k)
-    coeffs = [BitMatrix(stack.cols, rows[i : i + k]) for i in range(0, delta + k, k)]
-    code = ConvCode(stack.cols, k, tuple(coeffs), delta)
-    degree = internal_degree(code)
+    degree = _internal_degree(stack.row_bits, stack.cols, k)
     if degree != delta:
         raise ValueError(
             f"chosen columns cannot realize degree {delta}: internal degree is {degree}"
         )
-    return code
+    return _stacked_code(stack.row_bits, stack.cols, k, delta)
 
 
 # ---------------------------------------------------------------------------
 # Rate 1/n
 
 
-def _rate_1_stack(n: int, delta: int, tables: bool) -> BitMatrix:
-    """The (delta+1)-row stack of an (n, 1, delta) code in O(n*delta).
+def _tabled_stack(n: int, delta: int) -> BitMatrix:
+    """The (delta+1)-row stack of an (n, 1, delta) code, delta in {3, 4},
+    whose last s = n mod 2^delta columns are the first s columns of the
+    optimal residual stack, and whose other columns are canonical.
 
-    Column j is the canonical column j mod 2^delta of S(delta+1)_1, that is
-    (1, ~j_0, ..., ~j_{delta-1}): row i+1 repeats 2^i ones then 2^i zeros.
-    With `tables` the last s = n mod 2^delta columns are the first s columns
-    of the optimal residual stack instead; `construct` asks for that at
-    delta in {3, 4} when s is a multiple of 4.  At every other s the
+    `construct` takes it when s is a multiple of 4.  At every other s the
     canonical columns reach at least the same d_0..d_delta as the tabled
     ones, and more at s = 6 for delta = 3 and s in {5, 6, 10, 13, 14} for
     delta = 4; at s = 4, 8, 12 the tabled columns reach more.
     """
-    rows = canonical_stack(1, delta, n).row_bits
-    if tables:
-        s = n % (1 << delta)
-        base = n - s
-        tail = (1 << s) - 1
-        residual = _residual_stack(delta).row_bits
-        rows = [
-            (row & ((1 << base) - 1)) | ((res & tail) << base)
-            for row, res in zip(rows, residual)
-        ]
+    s = n % (1 << delta)
+    base = n - s
+    residual = _residual_stack(delta).row_bits
+    rows = [
+        (row & ((1 << base) - 1)) | ((res & ((1 << s) - 1)) << base)
+        for row, res in zip(canonical_stack(1, delta, n).row_bits, residual)
+    ]
     return BitMatrix(n, tuple(rows))
 
 
@@ -202,7 +197,7 @@ def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile
     """Closed-form profile n + min(j, delta)*n/2 with free distance n + delta*n/2."""
     if n < 1 or n % (1 << delta):
         raise ValueError(f"n={n} is not a positive multiple of 2^{delta}")
-    values = tuple(n + min(j, delta) * (n // 2) for j in range(jmax + 1))
+    values = tuple([n + min(j, delta) * (n // 2) for j in range(jmax + 1)])
     return DistanceProfile(values, n + delta * (n // 2), "formula")
 
 
@@ -264,7 +259,7 @@ def construct_near_optimal(n: int, delta: int):
     dimension-a partial simplex; they are the first r canonical columns.
     """
     _check_parameters(n, 1, delta)
-    code = stack_to_code(_rate_1_stack(n, delta, tables=False), 1, delta)
+    code = stack_to_code(canonical_stack(1, delta, n), 1, delta)
     if n % (1 << delta) == 0:
         return code, predicted_profile_rate_1_n(n, delta, delta)
     return code, near_optimal_bound_profile(n, delta, delta)
@@ -286,7 +281,7 @@ def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistancePr
         raise ValueError(f"n={n} is not a positive multiple of 2^{delta}*(2^{k}-1)")
     d0 = n * (1 << (k - 1)) // ((1 << k) - 1)
     cap = delta // k
-    values = tuple(d0 + min(j, cap) * (n // 2) for j in range(jmax + 1))
+    values = tuple([d0 + min(j, cap) * (n // 2) for j in range(jmax + 1)])
     return DistanceProfile(values, None, "formula")
 
 
@@ -352,7 +347,7 @@ def construct(n: int, k: int, delta: int):
         provenance = "k-dim search extension" if r else "k-dim exact"
     else:
         tabled = delta in (3, 4) and r in (4, 8, 12)
-        stack = _rate_1_stack(n, delta, tables=tabled)
+        stack = _tabled_stack(n, delta) if tabled else canonical_stack(1, delta, n)
         if r == 0:
             provenance = "rate-1/n exact"
         elif delta <= 2 or tabled:

@@ -68,6 +68,17 @@ class ConvCode:
         return BitMatrix.zeros(self.k, self.n)
 
 
+def _stacked_code(stack, n: int, k: int, delta: int) -> ConvCode:
+    """The code of the stacked rows `stack`: row i*k + r is row r of G_i.
+    The last block is padded with zero rows, and trailing zero G_i (all but
+    G_0) are trimmed."""
+    rows = tuple(stack) + (0,) * (-len(stack) % k)
+    coeffs = [BitMatrix(n, rows[i : i + k]) for i in range(0, len(rows), k)]
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs.pop()
+    return ConvCode(n, k, tuple(coeffs), delta)
+
+
 @dataclass(frozen=True)
 class DistanceProfile:
     """Column distances d_0..d_jmax, the free distance if known, and their source."""
@@ -372,12 +383,6 @@ def _dependent_rows(vecs) -> int:
     return 0
 
 
-def _packed_rows(c: ConvCode) -> list:
-    """The k rows of G(z), row r packed into one int with the z^i
-    coefficient of entry j at bit i*n + j."""
-    return [sum(g.row_bits[r] << (i * c.n) for i, g in enumerate(c.coeffs)) for r in range(c.k)]
-
-
 def _row_reduce(rows: list, n: int) -> list:
     """The rows of a row-reduced generator matrix of the code of the packed
     rows of G(z), k <= n of them, or rows that include a zero one if all
@@ -404,9 +409,14 @@ def _row_reduce(rows: list, n: int) -> list:
     return rows
 
 
-def _internal_degree(rows: list, n: int) -> Optional[int]:
-    """`internal_degree` of the packed rows of G(z), k <= n of them."""
-    rows = _row_reduce(rows, n)
+def _internal_degree(stack, n: int, k: int) -> Optional[int]:
+    """`internal_degree` of the code of the stacked rows `stack`, k <= n:
+    row i*k + r of the stack is row r of G_i.  Row r of G(z) is packed
+    into one int with the z^i coefficient of entry j at bit i*n + j."""
+    packed = [0] * k
+    for i, g in enumerate(stack):
+        packed[i % k] |= g << (i // k * n)
+    rows = _row_reduce(packed, n)
     if not all(rows):
         return None
     return sum((g.bit_length() - 1) // n for g in rows)
@@ -420,7 +430,7 @@ def internal_degree(c: ConvCode) -> Optional[int]:
     """
     if c.k > c.n:
         raise ValueError("need k <= n")
-    return _internal_degree(_packed_rows(c), c.n)
+    return _internal_degree([row for g in c.coeffs for row in g.row_bits], c.n, c.k)
 
 
 def is_row_reduced(c: ConvCode) -> bool:
@@ -524,7 +534,7 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     upper = np.cumsum(row_weights, axis=0).min(axis=1)
     reach = max(c.delta, c.mu)
     return BoundReport(
-        lower=tuple(int(lower[min(j, c.mu)]) for j in range(jmax + 1)),
-        upper=tuple(int(upper[min(j, c.mu)]) for j in range(jmax + 1)),
-        cap=tuple(c.n * (min(j, reach) + 1) for j in range(jmax + 1)),
+        lower=tuple([int(lower[min(j, c.mu)]) for j in range(jmax + 1)]),
+        upper=tuple([int(upper[min(j, c.mu)]) for j in range(jmax + 1)]),
+        cap=tuple([c.n * (min(j, reach) + 1) for j in range(jmax + 1)]),
     )

@@ -22,9 +22,9 @@ from .convcode import (
     ConvCode,
     _internal_degree,
     _min_weights,
-    _packed_rows,
-    _row_reduce,
+    _stacked_code,
     column_distances_exhaustive,
+    internal_degree,
 )
 from .gf2core import (
     _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, transpose, xor_span,
@@ -106,7 +106,7 @@ def search_optimal_row(top: BitMatrix) -> RowSearchResult:
         profile.append(int(wt.max()))
         survivors = cands[wt == profile[-1]]
     return RowSearchResult(
-        optimal_rows=tuple(BitVec(width, int(r)) for r in survivors),
+        optimal_rows=tuple([BitVec(width, int(r)) for r in survivors]),
         profile=tuple(profile),
         evaluated=1 << width,
     )
@@ -131,11 +131,7 @@ def _orbit_chunks(values: int, n: int, rows: int):
 
 def _code_from_tubes(n: int, k: int, delta: int, tubes) -> ConvCode:
     """The code whose column c is tubes[c], trailing zero G_i trimmed."""
-    rows = transpose([int(t) for t in tubes], k * (delta + 1))
-    coeffs = [BitMatrix(n, tuple(rows[i * k : (i + 1) * k])) for i in range(delta + 1)]
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs.pop()
-    return ConvCode(n, k, tuple(coeffs), delta)
+    return _stacked_code(transpose([int(t) for t in tubes], k * (delta + 1)), n, k, delta)
 
 
 def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
@@ -144,19 +140,14 @@ def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
     G_0 has full rank iff every nonzero combination of its rows is nonzero,
     which one span decides for the whole batch.  The degree is then
     G_delta != 0 for k = 1; for k > 1 the internal degree of each delay-free
-    orbit is computed from the rows of G(z), packed straight from its
-    window rows: row r of G_i is window row i*k + r."""
+    orbit is computed from its window rows, which are its stacked rows:
+    row r of G_i is window row i*k + r."""
     keep = _tube_weights(tubes, k)[:, 1:].all(axis=1)
     if k == 1:
         return keep & ((tubes >> delta) & 1).any(axis=1)
     n = tubes.shape[1]
     windows = _window_rows(tubes[keep], k * (delta + 1)).astype(np.uint64).tolist()
-    keep[keep] = [
-        _internal_degree(
-            [sum(w[i * k + r] << (i * n) for i in range(delta + 1)) for r in range(k)], n
-        ) == delta
-        for w in windows
-    ]
+    keep[keep] = [_internal_degree(w, n, k) == delta for w in windows]
     return keep
 
 
@@ -230,7 +221,7 @@ def _best_orbits(scored, key_len: int):
     whose first key_len distances equal its own, in orbit order."""
     best, achievers = None, []
     for tubes, profiles in scored:
-        top = tuple(int(v) for v in profiles[_lex_max_rows(profiles)[0]])
+        top = tuple([int(v) for v in profiles[_lex_max_rows(profiles)[0]]])
         if best is None or top[:key_len] > best[:key_len]:
             best, achievers = top, []
         elif top[:key_len] < best[:key_len]:
@@ -252,26 +243,26 @@ def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
     return best, [_code_from_tubes(n, k, delta, t) for t in tubes]
 
 
-def _tubes(rows, n: int, k: int, mu: int):
-    """Sorted column tubes through G_mu of the k rows of G(z), row r packed
-    with the z^i coefficient of entry j at bit i*n + j."""
-    mask = (1 << n) - 1
-    return sorted(transpose([(g >> (i * n)) & mask for i in range(mu + 1) for g in rows], n))
-
-
 def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerdict:
     """Decide whether c's profile is lexicographically maximal to the horizon,
     and whether its d_0..d_delta are maximal (the paper's claim).
 
     One search to max(horizon, delta) answers both: the prefix of a
-    lexicographic maximum is the maximum of the prefixes.  A tie is reported
-    when some maximal orbit to the horizon is not the orbit of c's
-    row-reduced form; such codes agree with c through the horizon but could
-    diverge beyond it.
+    lexicographic maximum is the maximum of the prefixes.  A code whose
+    declared degree is not its internal degree is refused, since the search
+    enumerates only codes of the declared degree.  Otherwise the search
+    enumerates c's orbit: c's row-reduced form is a delay-free code of that
+    degree with c's column distances.  So when c is maximal, a tie (another
+    maximal orbit, agreeing with c through the horizon but perhaps not
+    beyond) is reported exactly when more than one orbit achieves the
+    maximum.
     """
     if horizon is None:
         horizon = c.delta + 5
     price_search(c.n, c.k, c.delta, horizon)
+    degree = internal_degree(c)
+    if degree != c.delta:
+        raise ValueError(f"declared degree {c.delta} is not the internal degree {degree}")
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
     best, tubes = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)
@@ -279,8 +270,4 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     if profile[: horizon + 1] < best[: horizon + 1]:
         witness = _code_from_tubes(c.n, c.k, c.delta, tubes[0])
         return OptimalityVerdict(False, horizon, witness, False, through_delta)
-    # the search enumerates c's orbit through the tubes of its row-reduced form
-    rows = _row_reduce(_packed_rows(c), c.n)
-    mine = np.array(_tubes(rows, c.n, c.k, max(c.delta, (max(rows).bit_length() - 1) // c.n)))
-    ties = bool((tubes != mine).any(axis=1).any())
-    return OptimalityVerdict(True, horizon, None, ties, through_delta)
+    return OptimalityVerdict(True, horizon, None, len(tubes) > 1, through_delta)

@@ -44,7 +44,9 @@ def canonical_stack(k_top: int, bottom: int, n: int) -> BitMatrix:
         _repeat(_square_wave(1 << (k_top - 1 - i), min(t, n)), t, n)
         for i in range(k_top)
     ]
-    return BitMatrix(n, tuple(top + [_square_wave(t << i, n) for i in range(bottom)]))
+    # a half-period h >= n gives n ones, so no shift needs more than n's bits
+    cap = n.bit_length()
+    return BitMatrix(n, tuple(top + [_square_wave(t << min(i, cap), n) for i in range(bottom)]))
 
 
 def simplex_generator(k: int) -> BitMatrix:

@@ -146,9 +146,15 @@ class TestConstructCommand:
         assert rc == 1 and out == "" and not path.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("params", [("10000000000", "1", "1"), ("2", "1", "1000000000")])
+    @pytest.mark.parametrize("params", [
+        ("10000000000", "1", "1"),
+        ("2", "1", "1000000000"),
+        ("1", "1", "1000000"),
+        ("64", "1", "1000000"),
+    ])
     def test_stack_past_the_memory_guard_is_refused_at_once(self, capsys, params):
-        # 2 rows of 10^10 bits, or 10^9 + 1 rows of 2 bits
+        # 2 rows of 10^10 bits, or 10^9 + 1 rows of 2 bits; and 10^6 + 1 rows
+        # of n bits, each summed into a row of G(z) of (10^6 + 1)*n bits
         t0 = time.monotonic()
         rc, out, err = run(capsys, "construct", *params, "--quiet")
         assert time.monotonic() - t0 < 0.1

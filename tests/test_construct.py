@@ -18,7 +18,7 @@ from convdist.construct import (
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,
-    _rate_1_stack,
+    _tabled_stack,
     recursive_partial_simplex_4,
     stack_to_code,
 )
@@ -151,8 +151,8 @@ class TestExtended:
                 tabled = s % 4 == 0
                 assert provenance == (f"table-backed extension, s={s}" if tabled else "near-optimal")
                 got = tuple(column_distances_exhaustive(code, delta))
-                for tables in (False, True):
-                    other = stack_to_code(_rate_1_stack(n, delta, tables), 1, delta)
+                for stack in (canonical_stack(1, delta, n), _tabled_stack(n, delta)):
+                    other = stack_to_code(stack, 1, delta)
                     assert got >= tuple(column_distances_exhaustive(other, delta))
                 bound = near_optimal_bound_profile(n, delta, delta).values
                 assert all(d >= b for d, b in zip(got, bound))

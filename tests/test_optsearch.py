@@ -13,7 +13,7 @@ from convdist.convcode import (
     internal_degree,
     is_delay_free,
 )
-from convdist.gf2core import BitMatrix
+from convdist.gf2core import BitMatrix, transpose
 from convdist.optsearch import (
     optimal_codes_bruteforce,
     search_optimal_row,
@@ -35,8 +35,35 @@ def code_from_rows(rows, k=1, delta=None):
 
 def orbit(code, mu):
     """The sorted column tubes of code through G_mu, which name its
-    column-permutation orbit."""
-    return tuple(optsearch._tubes(convcode._packed_rows(code), code.n, code.k, mu))
+    column-permutation orbit: bit i*k + r of a tube is row r of G_i."""
+    stack = [code.coeff(i).row_bits[r] for i in range(mu + 1) for r in range(code.k)]
+    return tuple(sorted(transpose(stack, code.n)))
+
+
+def row_reduced_orbit(code):
+    """The orbit through G_delta of the row-reduced form of code, the form
+    whose tubes lie in the enumerated space."""
+    n, mask = code.n, (1 << code.n) - 1
+    rows = convcode._row_reduce(
+        [sum(g.row_bits[r] << (i * n) for i, g in enumerate(code.coeffs)) for r in range(code.k)], n
+    )
+    stack = [(g >> (i * n)) & mask for i in range(code.delta + 1) for g in rows]
+    return tuple(sorted(transpose(stack, n)))
+
+
+def lifts(code):
+    """[g1; g2 + z^t g1] for t = 1, 2: unimodular row operations, which keep
+    G_0, the code and its column distances, and mostly leave G(z) not
+    row-reduced."""
+    g1, g2 = ([g.row_bits[r] for g in code.coeffs] for r in range(2))
+    for t in (1, 2):
+        rows2 = g2 + [0] * t
+        for i, row in enumerate(g1):
+            rows2[i + t] ^= row
+        coeffs = [BitMatrix(code.n, pair) for pair in zip(g1 + [0] * t, rows2)]
+        while coeffs[-1].is_zero():
+            coeffs.pop()
+        yield ConvCode(code.n, 2, tuple(coeffs), code.delta)
 
 
 class TestWtProfile:
@@ -189,10 +216,18 @@ class TestVerifyOptimal:
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             verify_optimal(construct(4, 1, 2)[0], -1)
 
+    def test_declared_degree_must_be_the_internal_degree(self):
+        # internal degree 2 and d_0..d_3 = (3, 4, 5, 6), against the (3, 1, 1)
+        # optimum (3, 4, 5, 5): the search must not compare it with that space
+        code = code_from_rows(["111", "101", "011"], delta=1)
+        assert internal_degree(code) == 2
+        with pytest.raises(ValueError, match="declared degree 1 is not the internal degree 2"):
+            verify_optimal(code, 3)
+
     def test_non_row_reduced_matrix_matches_its_own_orbit(self):
         # [g1; g2 + z*g1] generates the (3, 2, 0) even-weight code, the one
         # optimal orbit; with mu = 1 > delta only its row-reduced form has
-        # tubes in the enumerated space, and those match that orbit.
+        # tubes in the enumerated space, and that is the one achiever.
         g0 = BitMatrix.from_strings(["110", "011"])
         reduced = ConvCode(3, 2, (g0,), 0)
         lifted = ConvCode(3, 2, (g0, BitMatrix.from_strings(["000", "110"])), 0)
@@ -277,6 +312,24 @@ def test_orbit_search_matches_sequence_search(n, k, delta, horizon):
         assert verdict.ties_at_horizon == ref_ties
     else:
         assert orbit_set([verdict.witness], delta) <= orbit_set(ref_codes, delta)
+
+
+@pytest.mark.parametrize(
+    "n,k,delta,horizon", [case for case in ORACLE_CASES if case[1] == 2] + [(3, 2, 0, 5)]
+)
+def test_non_row_reduced_lifts_match_their_own_orbits(n, k, delta, horizon):
+    """The lifts of every code that achieves the sequence search's optimum
+    (the codes whose tie verdict depends on the orbit match), against the
+    oracle's achievers compared through the tubes of each lift's
+    row-reduced form.  (3, 2, 0) has one optimal orbit, so no tie."""
+    _, achievers = sequence_search(n, k, delta, horizon)
+    ref_orbits = orbit_set(achievers, delta)
+    for code in achievers:
+        for lift in lifts(code):
+            assert internal_degree(lift) == delta
+            verdict = verify_optimal(lift, horizon)
+            assert verdict.optimal
+            assert verdict.ties_at_horizon == bool(ref_orbits - {row_reduced_orbit(lift)})
 
 
 def test_orbit_chunks_cover_every_multiset_in_order():
