@@ -30,7 +30,6 @@ from .convcode import (
 from .construct import (
     binary_decomposition,
     construct,
-    construct_near_optimal,
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,

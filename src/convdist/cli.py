@@ -14,7 +14,7 @@ from typing import Optional
 from . import convcode as cc
 from . import optsearch as opt
 from .construct import REFERENCE_TABLES, construct as build_code
-from .gf2core import BitMatrix
+from .gf2core import BitMatrix, guard_table
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,11 @@ def parse_code_file(text: str) -> cc.ConvCode:
 
     The declared delta must match the internal degree of G(z), the largest
     degree of its k x k minors; a mismatch is a hard error.  Every malformed
-    input raises ValueError.
+    input raises ValueError.  Packing G(z) takes time in proportion to its
+    (mu+1)*k rows times (mu+1)*n bits, so once the header and the row count
+    are known, and before any row is checked, the file is priced as that
+    many rows, rounded down to a power of two, of that width: every code
+    that `construct` admits is admitted here too.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -71,11 +75,7 @@ def parse_code_file(text: str) -> cc.ConvCode:
             raise ValueError("JSON 'G' must be a list of row lists")
         rows = [r for block in d["G"] for r in block]
     else:
-        lines = [
-            ln.strip()
-            for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
         if not lines:
             raise ValueError("empty code file")
         header = lines[0].split()
@@ -87,6 +87,7 @@ def parse_code_file(text: str) -> cc.ConvCode:
         raise ValueError(f"k={k} must be >= 1")
     if len(rows) % k:
         raise ValueError(f"{len(rows)} coefficient rows is not a multiple of k={k}")
+    guard_table(len(rows).bit_length() - 1, len(rows) // k * n, "code-file")
     for r in rows:
         if not isinstance(r, str) or len(r) != n or set(r) - {"0", "1"}:
             raise ValueError(f"bad coefficient row {r!r}")
@@ -112,6 +113,8 @@ def _emit_json(d: dict) -> None:
 
 def cmd_construct(args) -> int:
     code, provenance = build_code(args.n, args.k, args.delta)
+    # the file holds (mu+1)*k rows of n characters, of 8 bits each
+    guard_table((len(code.coeffs) * code.k - 1).bit_length(), 8 * code.n, "code-file text")
     if args.json:
         payload = json.dumps(
             code_to_json_dict(code, provenance=provenance),

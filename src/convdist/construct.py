@@ -1,17 +1,15 @@
 """Constructions of binary convolutional codes from partial simplex codes.
 
-Every code is stacked from `simplex.canonical_stack`, the canonical columns
-of a (k-)partial simplex repeated.  For rate 1/n, column j of the stack is
-(1, ~j_0, ..., ~j_{delta-1}), with j_i bit i of j, so an (n, 1, delta) stack
-costs O(n*delta).  Its first m*2^delta columns are the m-fold partial
-simplex of the exact family, and the r leftover columns are the first r
-canonical columns, which is what the nested-block search of the near-optimal
-construction picks and what the residual tables hold for delta <= 2.  For
-delta in {3, 4} and r a multiple of 4, the table-backed extension replaces
-that last partial period by the optimal residual columns; at every other r
-the canonical columns do at least as well on d_0..d_delta.  The k > 1
-family is an m-fold k-partial simplex followed by greedily chosen canonical
-columns.
+Every (n, k, delta) stack is the canonical columns of its m full periods,
+the m-fold k-partial simplex of `simplex.canonical_stack`, followed by
+r = n mod 2^delta*(2^k - 1) residual columns from exactly one source:
+the table `_RESIDUALS`, keyed by (delta, r), for k = 1; the greedy column
+search of `_k_dim_stack` for k > 1; otherwise the first r canonical
+columns, so that the whole stack is canonical.  For rate 1/n, column j of
+the canonical stack is (1, ~j_0, ..., ~j_{delta-1}), with j_i bit i of j,
+so an (n, 1, delta) stack costs O(n*delta), and its first r columns are
+what the nested-block search of the paper's near-optimal construction
+picks.
 
 This module also holds the reference tables of the paper, and in
 `REFERENCE_TABLES` the computation that re-derives each one, which the
@@ -74,10 +72,32 @@ def _expand_d4(row: str) -> str:
 
 
 # Canonical optimal residual row for delta=3 (one of the eight equivalent
-# choices; the others are available through the search in `optsearch`), and
-# the delta=4 row derived from its halves.
+# choices; the others are available through the search in `optsearch`).
 OPT_ROW_D3 = "11100001"
-OPT_ROW_D4 = _expand_d4(OPT_ROW_D3)
+
+# The residual columns of an (n, 1, delta) code, keyed by (delta, s) for
+# s = n mod 2^delta, as the rows G_0..G_delta of the s columns.  At
+# delta <= 2 they are the canonical columns, the optimal choices of the
+# delta = 2 case analysis.  (4, 8) and (4, 12) are the first s columns of
+# the recursive dimension-4 partial simplex over OPT_ROW_D3 with the row
+# _expand_d4(OPT_ROW_D3) below it, and (3, 4) those of the 2-fold
+# dimension-3 partial simplex over OPT_ROW_D3.  The first 4 columns of the
+# dimension-4 stack fall one short of the optimal d_4, so (4, 4) is instead
+# the first achiever of optimal_codes_bruteforce(4, 1, 4, 9).  At every
+# other s the canonical columns reach at least as much on d_0..d_delta as
+# a prefix of those stacks.
+_RESIDUALS = {
+    (1, 1): ("1", "1"),
+    (2, 1): ("1", "1", "1"),
+    (2, 2): ("11", "10", "11"),
+    (2, 3): ("111", "101", "110"),
+    (3, 4): ("1111", "1010", "1100", "1110"),
+    (4, 4): ("1111", "0101", "0011", "1011", "0111"),
+    (4, 8): ("11111111", "10101010", "11001100", "11100001", "11101110"),
+    (4, 12): (
+        "111111111111", "101010101010", "110011001100", "111000011110", "111011100001",
+    ),
+}
 
 
 def _residual_code_profile(rows, jmax=5):
@@ -173,46 +193,12 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
 # Rate 1/n
 
 
-def _tabled_stack(n: int, delta: int) -> BitMatrix:
-    """The (delta+1)-row stack of an (n, 1, delta) code, delta in {3, 4},
-    whose last s = n mod 2^delta columns are the first s columns of the
-    optimal residual stack, and whose other columns are canonical.
-
-    `construct` takes it when s is a multiple of 4.  At every other s the
-    canonical columns reach at least the same d_0..d_delta as the tabled
-    ones, and more at s = 6 for delta = 3 and s in {5, 6, 10, 13, 14} for
-    delta = 4; at s = 4, 8, 12 the tabled columns reach more.
-    """
-    s = n % (1 << delta)
-    base = n - s
-    residual = _residual_stack(delta).row_bits
-    rows = [
-        (row & ((1 << base) - 1)) | ((res & ((1 << s) - 1)) << base)
-        for row, res in zip(canonical_stack(1, delta, n).row_bits, residual)
-    ]
-    return BitMatrix(n, tuple(rows))
-
-
 def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile:
     """Closed-form profile n + min(j, delta)*n/2 with free distance n + delta*n/2."""
     if n < 1 or n % (1 << delta):
         raise ValueError(f"n={n} is not a positive multiple of 2^{delta}")
     values = tuple([n + min(j, delta) * (n // 2) for j in range(jmax + 1)])
     return DistanceProfile(values, n + delta * (n // 2), "formula")
-
-
-# ---------------------------------------------------------------------------
-# Column extensions for 2^delta not dividing n (k = 1)
-
-
-def _residual_stack(delta: int) -> BitMatrix:
-    """Stacked (delta+1)-row matrix whose leading columns are the optimal
-    residual choices for delta in {3, 4}."""
-    if delta == 3:
-        top = canonical_stack(1, 2, 8)  # the 2-fold dimension-3 partial simplex
-        return BitMatrix(8, top.row_bits + BitMatrix.from_strings([OPT_ROW_D3]).row_bits)
-    top = recursive_partial_simplex_4()
-    return BitMatrix(16, top.row_bits + BitMatrix.from_strings([OPT_ROW_D4]).row_bits)
 
 
 def recursive_partial_simplex_4(g3_row: str = OPT_ROW_D3) -> BitMatrix:
@@ -225,7 +211,7 @@ def recursive_partial_simplex_4(g3_row: str = OPT_ROW_D3) -> BitMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Near-optimal general construction
+# Near-optimal bound (k = 1, 2^delta not dividing n)
 
 
 def binary_decomposition(r: int):
@@ -251,20 +237,6 @@ def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile
     return DistanceProfile(tuple(values), None, "bound")
 
 
-def construct_near_optimal(n: int, delta: int):
-    """Near-optimal (n, 1, delta) code and its guaranteed lower-bound profile.
-
-    The r = n mod 2^delta leftover columns form nested blocks, one per
-    exponent a of r's binary decomposition, whose top a rows are the
-    dimension-a partial simplex; they are the first r canonical columns.
-    """
-    _check_parameters(n, 1, delta)
-    code = stack_to_code(canonical_stack(1, delta, n), 1, delta)
-    if n % (1 << delta) == 0:
-        return code, predicted_profile_rate_1_n(n, delta, delta)
-    return code, near_optimal_bound_profile(n, delta, delta)
-
-
 # ---------------------------------------------------------------------------
 # Dimension k > 1
 
@@ -285,20 +257,17 @@ def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistancePr
     return DistanceProfile(values, None, "formula")
 
 
-def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
-    """The (delta+k)-row stack of an (n, k, delta) code: a k-partial simplex
-    base plus greedily chosen extra canonical columns.
+def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
+    """The r residual columns, 0 < r < 2^delta*(2^k-1), of an (n, k, delta)
+    code past its full periods, chosen greedily from the canonical columns.
 
-    Each extra column maximizes, in turn, the minimum weight of the block
-    code generated by the residual columns chosen so far (ties go to the
+    Each column maximizes, in turn, the minimum weight of the block code
+    generated by the residual columns chosen so far (ties go to the
     smallest canonical column index).  Optimal only up to this search rule.
     A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
     before it starts.
     """
     base_len = (1 << delta) * ((1 << k) - 1)
-    r = n % base_len
-    if r == 0:
-        return canonical_stack(k, delta, n)
     cost = (r * base_len) << (delta + k)
     if cost > EXTENSION_SEARCH_GUARD:
         raise ValueError(
@@ -323,8 +292,7 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
         free[best] = False
         weight += np.bitwise_count(messages & pool[best]) & 1
         chosen.append(int(pool[best]))
-    ext = BitMatrix(r, tuple(transpose(chosen, delta + k)))
-    return hstack([canonical_stack(k, delta, n - r), ext])
+    return BitMatrix(r, tuple(transpose(chosen, delta + k)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +302,26 @@ def _k_dim_stack(n: int, k: int, delta: int) -> BitMatrix:
 def construct(n: int, k: int, delta: int):
     """Build an (n, k, delta) code, returning it with a provenance string.
 
-    This is the package's one builder.  A rate-1/n code is the m-fold
-    partial simplex followed by the first r = n mod 2^delta canonical
-    columns, or for delta in {3, 4} and r a multiple of 4 by the tabled
-    optimal residual columns; a k > 1 code is the stack of `_k_dim_stack`.
-    The provenance names the columns used: the delta <= 2 tables are
-    canonical columns."""
+    This is the package's one builder.  The stack is the canonical columns
+    of the m full periods followed by r = n mod 2^delta*(2^k - 1) residual
+    columns: the tabled ones for k = 1, the greedy search's for k > 1, and
+    otherwise the first r canonical columns, which continue the canonical
+    stack.  The provenance names the source of the residual columns."""
     _check_parameters(n, k, delta)
     r = n % ((1 << delta) * ((1 << k) - 1))
-    if k > 1:
-        stack = _k_dim_stack(n, k, delta)
-        provenance = "k-dim search extension" if r else "k-dim exact"
+    residual = None
+    if k == 1 and (delta, r) in _RESIDUALS:
+        residual = BitMatrix.from_strings(_RESIDUALS[delta, r])
+        provenance = f"table-backed extension, s={r}"
+    elif k > 1 and r:
+        residual = _k_dim_stack(r, k, delta)
+        provenance = "k-dim search extension"
+    elif r:
+        provenance = "near-optimal"
     else:
-        tabled = delta in (3, 4) and r in (4, 8, 12)
-        stack = _tabled_stack(n, delta) if tabled else canonical_stack(1, delta, n)
-        if r == 0:
-            provenance = "rate-1/n exact"
-        elif delta <= 2 or tabled:
-            provenance = f"table-backed extension, s={r}"
-        else:
-            provenance = "near-optimal"
+        provenance = "rate-1/n exact" if k == 1 else "k-dim exact"
+    if residual is None:
+        stack = canonical_stack(k, delta, n)
+    else:
+        stack = hstack([canonical_stack(k, delta, n - r), residual])
     return stack_to_code(stack, k, delta), provenance

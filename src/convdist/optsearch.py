@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from . import convcode
 from .convcode import (
     MESSAGE_GUARD_BITS,
     ConvCode,
@@ -36,8 +37,6 @@ BRUTEFORCE_WORK_GUARD = 1 << 30
 # The degree test of one k > 1 orbit is charged as 2^15 message steps of
 # the batch kernel.
 _REPRESENTATIVE_WORK = 1 << 15
-# orbits per batch: at most 2^_BATCH_BITS message prefixes in flight
-_BATCH_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -197,10 +196,11 @@ def price_search(n: int, k: int, delta: int, horizon: int) -> None:
 
 def _scored_orbits(n: int, k: int, delta: int, horizon: int):
     """Yield (tubes, profiles) chunks: every orbit of delay-free (n, k, delta)
-    codes in lexicographic order, with its d_0..d_horizon.  The callers
-    run `price_search` first."""
+    codes in lexicographic order, with its d_0..d_horizon, in batches of
+    at most 2^convcode._CHUNK_BITS message prefixes.  The callers run
+    `price_search` first."""
     window_bits = k * (min(horizon, delta) + 1)
-    rows = (1 << _BATCH_BITS) >> (k * (horizon + 1))
+    rows = (1 << convcode._CHUNK_BITS) >> (k * (horizon + 1))
     for tubes in _orbit_chunks(1 << (k * (delta + 1)), n, rows):
         tubes = tubes[_in_space(tubes, k, delta)]
         if len(tubes):

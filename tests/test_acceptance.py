@@ -137,7 +137,9 @@ def test_criterion_07_near_optimal_bounds():
         (n, d) for d in range(1, 5) for n in range(2, 41) if n % (1 << d)
     ]
     for n, d in rng.sample(candidates, 20):
-        code, bound = cd.construct_near_optimal(n, d)
+        # the paper's near-optimal construction: the first n canonical columns
+        code = cd.stack_to_code(cd.canonical_stack(1, d, n), 1, d)
+        bound = cd.near_optimal_bound_profile(n, d, d)
         prof = cd.distance_profile(code, d)
         exponents = cd.binary_decomposition(n - ((n >> d) << d))
         a_b = exponents[-1]

@@ -47,6 +47,12 @@ class TestCodeFileFormat:
         with pytest.raises(ValueError):
             parse_code_file("2 1 1\n11\n1x\n")
 
+    @pytest.mark.parametrize("params", [(1, 1, 32767), (64, 1, 4095)])
+    def test_deepest_constructed_codes_parse(self, params):
+        # the deepest stacks the construction guard admits at n = 1 and 64
+        code, _ = construct(*params)
+        assert parse_code_file(format_code_file(code)) == code
+
     def test_long_code_takes_linear_time(self):
         # every row/column and int/string conversion on the way is linear in n
         t0 = time.monotonic()
@@ -62,6 +68,18 @@ def assert_one_line_error(capsys, path):
         rc, _, err = run(capsys, command, str(path))
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_file_is_priced_before_its_rows_are_read(tmp_path, capsys):
+    # 10^6 + 1 rows, each summed into a row of G(z) of 10^6 + 1 bits
+    path = tmp_path / "deep.txt"
+    path.write_text("1 1 1000000\n" + "1\n" * 1_000_001)
+    t0 = time.monotonic()
+    rc, out, err = run(capsys, "check", str(path))
+    assert time.monotonic() - t0 < 1.0
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "code-file bits exceed the memory guard" in err
 
 
 class TestMalformedHeaders:
@@ -161,6 +179,16 @@ class TestConstructCommand:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "stack bits exceed the memory guard" in err
+
+    def test_text_past_the_memory_guard_is_refused(self, tmp_path, capsys):
+        # 5 rows of 2^24 + 1 characters: the stack is admitted, its text is not
+        path = tmp_path / "c.txt"
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "construct", "16777217", "1", "4", "--out", str(path))
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1 and out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "code-file text bits exceed the memory guard" in err
 
 
 class TestProfileCommand:
@@ -344,8 +372,16 @@ class TestVerifyOptimalCommand:
         assert rc == 2
         assert "optimal through delta = 2 (d_0..d_2)" in out.splitlines()
         rc, out, _ = run(capsys, "verify-optimal", "--params", "4", "1", "4")
+        assert rc == 3
+        assert "optimal through delta = 4 (d_0..d_4)" in out.splitlines()
+
+    def test_not_optimal_through_delta(self, tmp_path, capsys):
+        # d_0, d_1 = (2, 2), where the (2,1,1) construction reaches (2, 3)
+        path = tmp_path / "bad.txt"
+        path.write_text("2 1 1\n11\n11\n")
+        rc, out, _ = run(capsys, "verify-optimal", str(path))
         assert rc == 2
-        assert "not optimal through delta = 4 (d_0..d_4)" in out.splitlines()
+        assert "not optimal through delta = 1 (d_0..d_1)" in out.splitlines()
 
     def test_negative_horizon_is_refused(self, capsys):
         rc, out, err = run(

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,14 +12,13 @@ import convdist
 from convdist.cli import format_code_file, parse_code_file
 from convdist.construct import (
     OPT_ROW_D3,
-    OPT_ROW_D4,
+    _RESIDUALS,
+    _expand_d4,
     binary_decomposition,
     construct,
-    construct_near_optimal,
     near_optimal_bound_profile,
     predicted_profile_k_dim,
     predicted_profile_rate_1_n,
-    _tabled_stack,
     recursive_partial_simplex_4,
     stack_to_code,
 )
@@ -32,12 +32,27 @@ from convdist.convcode import (
     is_row_reduced,
 )
 from convdist.gf2core import BitMatrix, hstack
-from convdist.optsearch import wt_profile
+from convdist.optsearch import optimal_codes_bruteforce, wt_profile
 from convdist.simplex import canonical_stack, k_partial_simplex, m_fold, partial_simplex
 
 
 def coeff_strings(code):
     return [g.row_strings() for g in code.coeffs]
+
+
+def canonical_code(n, delta):
+    """The (n, 1, delta) code of the first n canonical columns, the paper's
+    near-optimal construction."""
+    return stack_to_code(canonical_stack(1, delta, n), 1, delta)
+
+
+def paper_residual_stack(delta):
+    """Rows of the paper's residual stack for delta in {3, 4}: the 2-fold
+    dimension-3 partial simplex over OPT_ROW_D3, or the recursive
+    dimension-4 partial simplex over the row _expand_d4(OPT_ROW_D3)."""
+    if delta == 3:
+        return canonical_stack(1, 2, 8).row_strings() + [OPT_ROW_D3]
+    return recursive_partial_simplex_4().row_strings() + [_expand_d4(OPT_ROW_D3)]
 
 
 def columns(code, start, stop):
@@ -118,8 +133,26 @@ class TestExtended:
         )
         code, _ = construct(16 + 8, 1, 4)
         assert code.coeffs[4].row_strings() == [
-            partial_simplex(5).row_strings()[4] + OPT_ROW_D4[:8]
+            partial_simplex(5).row_strings()[4] + _expand_d4(OPT_ROW_D3)[:8]
         ]
+
+    def test_residual_table(self):
+        # (3, 4) and (4, 4) are optimal through delta, and (4, 4) is the
+        # first achiever of the search to d_9; (3, 4), (4, 8) and (4, 12)
+        # are prefixes of the paper's residual stacks
+        t0 = time.monotonic()
+        for delta, s, horizon in [(3, 4, 3), (4, 4, 9)]:
+            code = stack_to_code(BitMatrix.from_strings(_RESIDUALS[delta, s]), 1, delta)
+            best, achievers = optimal_codes_bruteforce(s, 1, delta, horizon)
+            assert tuple(column_distances_exhaustive(code, delta)) == best[: delta + 1]
+        assert achievers[0] == code  # the last search is (4, 4)'s, to d_9
+        for delta, s in [(3, 4), (4, 8), (4, 12)]:
+            assert list(_RESIDUALS[delta, s]) == [row[:s] for row in paper_residual_stack(delta)]
+        # below delta = 3 the table holds the canonical columns
+        for (delta, s), rows in _RESIDUALS.items():
+            if delta <= 2:
+                assert BitMatrix.from_strings(rows) == canonical_stack(1, delta, s)
+        assert time.monotonic() - t0 < 2.0
 
     # (n, delta) -> d_0..d_delta: the survivor-search optimum, reached since
     # these residues keep the canonical columns instead of the tabled ones
@@ -141,7 +174,8 @@ class TestExtended:
 
     def test_residue_rule(self):
         # tabled residual columns only at s = 4, 8, 12; at every s the code
-        # is at least as good through delta as either column choice alone
+        # is at least as good through delta as the canonical columns and as
+        # the first s columns of the paper's residual stack
         for delta in (3, 4):
             for n in range(1, 4 << delta):
                 s = n % (1 << delta)
@@ -151,7 +185,15 @@ class TestExtended:
                 tabled = s % 4 == 0
                 assert provenance == (f"table-backed extension, s={s}" if tabled else "near-optimal")
                 got = tuple(column_distances_exhaustive(code, delta))
-                for stack in (canonical_stack(1, delta, n), _tabled_stack(n, delta)):
+                if tabled:
+                    residual = BitMatrix.from_strings(_RESIDUALS[delta, s])
+                    assert columns(code, n - s, n) == residual
+                paper = [row[:s] for row in paper_residual_stack(delta)]
+                stacks = [
+                    canonical_stack(1, delta, n),
+                    hstack([canonical_stack(1, delta, n - s), BitMatrix.from_strings(paper)]),
+                ]
+                for stack in stacks:
                     other = stack_to_code(stack, 1, delta)
                     assert got >= tuple(column_distances_exhaustive(other, delta))
                 bound = near_optimal_bound_profile(n, delta, delta).values
@@ -193,16 +235,14 @@ class TestClosedFormColumns:
             for m in (0, 1):
                 for r in range(1 - m, 1 << delta):
                     expected = stack_to_code(nested_block_stack(m, r, delta), 1, delta)
-                    code, _ = construct_near_optimal((m << delta) + r, delta)
-                    assert code == expected, (m, r, delta)
+                    assert canonical_code((m << delta) + r, delta) == expected, (m, r, delta)
 
     def test_small_delta_tables_are_the_nested_columns(self):
         for delta in (1, 2):
             for m in (0, 1):
                 for r in range(1 - m, 1 << delta):
                     n = (m << delta) + r
-                    code, _ = construct_near_optimal(n, delta)
-                    assert construct(n, 1, delta)[0] == code
+                    assert construct(n, 1, delta)[0] == canonical_code(n, delta)
 
 
 class TestNearOptimal:
@@ -213,13 +253,11 @@ class TestNearOptimal:
         assert binary_decomposition(12) == (4, 3)
 
     def test_smallest_case(self):
-        code, bound = construct_near_optimal(2, 2)
-        assert coeff_strings(code) == [["11"], ["10"], ["11"]]
-        assert bound.values == (2, 3, 3)
+        assert coeff_strings(canonical_code(2, 2)) == [["11"], ["10"], ["11"]]
+        assert near_optimal_bound_profile(2, 2, 2).values == (2, 3, 3)
 
     def test_matches_table_for_delta2(self):
-        code, _ = construct_near_optimal(7, 2)
-        assert coeff_strings(code) == coeff_strings(construct(7, 1, 2)[0])
+        assert coeff_strings(canonical_code(7, 2)) == coeff_strings(construct(7, 1, 2)[0])
 
     def test_bound_profile_shape(self):
         bound = near_optimal_bound_profile(10, 3, 3)
@@ -228,8 +266,8 @@ class TestNearOptimal:
 
     def test_construction_dominates_bound(self):
         for n, delta in [(3, 2), (5, 3), (13, 3), (21, 4)]:
-            code, bound = construct_near_optimal(n, delta)
-            prof = distance_profile(code, delta)
+            prof = distance_profile(canonical_code(n, delta), delta)
+            bound = near_optimal_bound_profile(n, delta, delta)
             assert all(d >= b for d, b in zip(prof.values, bound.values))
 
 

@@ -354,11 +354,11 @@ def test_space_filter_matches_the_predicates(n, k, delta):
 
 
 def test_small_batches_and_pieces_give_the_same_search(monkeypatch):
-    """Orbit chunks of a few rows and kernel pieces of a few prefixes split
-    every level; the results must not depend on where the splits fall."""
+    """An in-flight budget of 2^5 entries splits every level into orbit
+    chunks of one row and kernel pieces of a few prefixes; the results must
+    not depend on where the splits fall."""
     cases = [(5, 1, 2, 7), (3, 1, 3, 3), (3, 2, 1, 2), (2, 1, 4, 9)]
     expected = [optimal_codes_bruteforce(*case) for case in cases]
-    monkeypatch.setattr(optsearch, "_BATCH_BITS", 9)
     monkeypatch.setattr(convcode, "_CHUNK_BITS", 5)
     for case, (best, achievers) in zip(cases, expected):
         got_best, got = optimal_codes_bruteforce(*case)
@@ -385,11 +385,9 @@ def test_optimal_through_delta_but_not_to_delta_plus_5():
     assert time.monotonic() - t0 < 2.0
 
 
-# (n, delta) -> (the construction's d_0..d_delta, the optimum).  A
-# table-backed extension with m = 0 that falls one short at j = delta.
-KNOWN_SHORTFALLS = {
-    (4, 4): ((4, 6, 8, 9, 9), (4, 6, 8, 9, 10)),
-}
+# (n, delta) -> (the construction's d_0..d_delta, the optimum).  Empty
+# since the (4, 4) residual table entry is an optimal (4, 1, 4) code.
+KNOWN_SHORTFALLS = {}
 
 
 def test_paper_claim_over_every_covered_rate_1_n_code():

@@ -17,6 +17,7 @@ REMOVED = {
         "construct_extended",
         "construct_k_dim",
         "construct_k_dim_extended",
+        "construct_near_optimal",
     ],
     "optsearch": [
         "best_profile_bruteforce",
