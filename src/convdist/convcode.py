@@ -5,11 +5,21 @@ enumeration over the truncated sliding matrix, and a minimum-weight dynamic
 program over numpy tables of the shift-register states — which must always
 agree.  The free distance is an exact shortest-path search on the same
 state tables.
+
+A `ConvCode` computes three derived values once, on first use, and keeps
+them for as long as the object lives: the state tables of the trellis and
+the free distance, the verdict of `is_noncatastrophic`, and the deepest
+window-weight table built so far.  The arrays are read-only.  A shallower
+depth reads a prefix of the window table, so one table serves the
+exhaustive oracle and the weight bounds at every depth.  The kept values
+sit outside the dataclass fields: equality, hashing and repr ignore them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Optional
 
 from .gf2core import (
@@ -69,6 +79,16 @@ class ConvCode:
         if i <= self.mu:
             return self.coeffs[i]
         return BitMatrix.zeros(self.k, self.n)
+
+    @cached_property
+    def _trellis(self):
+        """(bw, plan) of `_state_tables`, built on first use."""
+        return _build_state_tables(self)
+
+    @cached_property
+    def _noncatastrophic(self) -> bool:
+        """The verdict of `is_noncatastrophic`; an exception is not kept."""
+        return _left_prime(self)
 
 
 def _stacked_code(stack, n: int, k: int, delta: int) -> ConvCode:
@@ -142,14 +162,24 @@ def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
 
 def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
     """Weight of one output block as a function of the window of message
-    blocks u_i, u_{i-1}, ..., u_{i-D}, D = min(jmax, mu).
+    blocks u_i, u_{i-1}, ..., u_{i-D}, D = min(jmax, mu), as a read-only array.
 
     Window bit k*e + r is row r of u_{i-e}, which multiplies G_e; the blocks
-    before u_0 are zero, so the entries with zero high blocks serve i < D."""
+    before u_0 are zero, so the entries with zero high blocks serve i < D.
+    For the same reason the table of depth D is the first 2^(k(D+1))
+    entries of any deeper one: c keeps the deepest table built so far, and
+    only a deeper depth builds anew.  A window weighs at most n, so the
+    entries take the smallest unsigned type that holds n."""
     depth = min(jmax, c.mu)
-    guard_table(c.k * (depth + 1), c.n, "weight-table")
-    rows = [c.coeffs[e].row_bits[r] for e in range(depth + 1) for r in range(c.k)]
-    return span_weights(xor_span(rows, c.n))
+    bits = c.k * (depth + 1)
+    table = c.__dict__.get("_window_table")
+    if table is None or len(table) < 1 << bits:
+        guard_table(bits, c.n, "weight-table")
+        rows = [c.coeffs[e].row_bits[r] for e in range(depth + 1) for r in range(c.k)]
+        table = span_weights(xor_span(rows, c.n), np.min_scalar_type(c.n))
+        table.flags.writeable = False
+        c.__dict__["_window_table"] = table
+    return table[: 1 << bits]
 
 
 def _add_periodic(out: np.ndarray, table: np.ndarray, start: int) -> None:
@@ -246,23 +276,29 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 
 
 def _state_tables(c: ConvCode):
-    """Branch weights and the butterfly plan of `_min_plus_step`.
+    """Branch weights and the butterfly plan of `_min_plus_step`, built
+    once per code and kept on it.
 
     bw has two axes per row, from the last row down: u_r and register r of
-    the start state.  The plan is the shape that broadcasts the labels of
-    the start states over the u_r axes, and, for each row r, the number of
-    states below register r, 2^offset_r."""
+    the start state; it is read-only.  The plan is the shape that broadcasts
+    the labels of the start states over the u_r axes, and, for each row r,
+    the number of states below register r, 2^offset_r."""
+    return c._trellis
+
+
+def _build_state_tables(c: ConvCode):
     guard_table(external_degree(c) + c.k, c.n, "state-table")
     nus = row_degrees(c)
     # Span bit offset_r + r + e is the input of row r from nu_r - e steps
     # before the branch, which multiplies G_{nu_r - e}; e = nu_r is u_r.
     rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(nu, -1, -1)]
     bw = span_weights(xor_span(rows, c.n), np.int32)
-    shape, label_shape = [], []
+    bw.flags.writeable = False
+    shape, label_shape = (), ()
     for nu in reversed(nus):
-        shape += [2, 1 << nu]
-        label_shape += [1, 1 << nu]
-    below = [1 << sum(nus[:r]) for r in range(c.k)]
+        shape += (2, 1 << nu)
+        label_shape += (1, 1 << nu)
+    below = tuple(1 << sum(nus[:r]) for r in range(c.k))
     return bw.reshape(shape), (label_shape, below)
 
 
@@ -331,14 +367,22 @@ def free_distance(c: ConvCode) -> int:
     attained by a finite excursion that leaves the zero state with a nonzero
     input and returns to it.  labels[s] is the lightest excursion found so
     far that is at s and has not yet returned; the zero state is held at
-    +inf, and each return to it updates `best`.
+    +inf, and each return to it updates `best`.  Each step is priced as
+    `check_jmax` prices one, and the search is refused once its steps pass
+    STEP_WORK_GUARD.
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
     bw, plan = _state_tables(c)
+    bits = max(external_degree(c) + c.k, _STEP_FLOOR_BITS)
     labels = _from_zero_state(bw.size >> c.k)
-    best, leave_zero = _INF, True
+    best, leave_zero, steps = _INF, True, 0
     while True:
+        steps += 1
+        if steps << bits > STEP_WORK_GUARD:
+            raise ValueError(
+                f"free distance: {steps} steps of 2^{bits} branch updates exceed the step guard"
+            )
         cand = _min_plus_step(labels, bw, plan, leave_zero)
         best = min(best, int(cand[0]))
         cand[0] = labels[0] = _INF
@@ -463,7 +507,12 @@ def is_noncatastrophic(c: ConvCode) -> bool:
     G(z) to [L | 0] with L lower triangular, whose maximal minors have gcd
     det L, the product of the pivots.  Equal columns are taken once:
     subtracting one from its twin leaves a zero column, in no nonzero minor.
+    The verdict is kept on c.
     """
+    return c._noncatastrophic
+
+
+def _left_prime(c: ConvCode) -> bool:
     # entry r of column j is entry (r, j) of G(z): bit i is bit j of row r of G_i
     entries = [transpose([g.row_bits[r] for g in c.coeffs], c.n) for r in range(c.k)]
     cols = [list(col) for col in set(zip(*entries))]
@@ -472,17 +521,19 @@ def is_noncatastrophic(c: ConvCode) -> bool:
         live = [col for col in cols if col[i]]
         if not live:
             raise ValueError("G(z) is rank deficient")
-        while len(live) > 1:
+        while True:
             p = min(live, key=lambda col: col[i].bit_length())
-            for col in live:
-                if col is not p:
-                    q = poly_divmod(col[i], p[i])[0]
-                    for t in range(i, c.k):
-                        col[t] ^= poly_mul(q, p[t])
-            live = [p] + [col for col in live if col is not p and col[i]]
-        pivot = live[0]
-        pivots.append(pivot[i])
-        cols = [col for col in cols if col is not pivot]
+            rest = [col for col in live if col is not p]
+            # on the last row nothing below a unit pivot is left to update
+            if not rest or (p[i] == 1 and i == c.k - 1):
+                break
+            for col in rest:
+                q, col[i] = poly_divmod(col[i], p[i])
+                for t in range(i + 1, c.k):
+                    col[t] ^= poly_mul(q, p[t])
+            live = [p] + [col for col in rest if col[i]]
+        pivots.append(p[i])
+        cols = [col for col in cols if col is not p]
     return all(p == 1 for p in pivots)
 
 
@@ -526,9 +577,10 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     check_jmax(jmax)
     # Increment i <= mu is the least window weight with a nonzero block of
     # G_i and zero later blocks; for i > mu it is 0: take u = (u_0, 0, ..., 0).
+    # The increments are summed as Python ints: the table's type holds only n.
     table, k = _window_weights(c, jmax), c.k
-    lower = np.cumsum([table[1 << (i * k) : 1 << (i * k + k)].min()
-                       for i in range(min(jmax, c.mu) + 1)])
+    lower = list(accumulate(int(table[1 << (i * k) : 1 << (i * k + k)].min())
+                            for i in range(min(jmax, c.mu) + 1)))
     # upper[j]: the lightest row r of G_0..G_min(j, mu), from u_0 = e_r.
     # For a row-reduced matrix every row degree is <= delta, so the cap sums
     # to min(j, delta); a non-row-reduced row may keep contributing up to mu,
@@ -537,7 +589,7 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     upper = np.cumsum(row_weights, axis=0).min(axis=1)
     reach = max(c.delta, c.mu)
     return BoundReport(
-        lower=tuple([int(lower[min(j, c.mu)]) for j in range(jmax + 1)]),
+        lower=tuple([lower[min(j, c.mu)] for j in range(jmax + 1)]),
         upper=tuple([int(upper[min(j, c.mu)]) for j in range(jmax + 1)]),
         cap=tuple([c.n * (min(j, reach) + 1) for j in range(jmax + 1)]),
     )

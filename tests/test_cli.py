@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from convdist import convcode
 from convdist.cli import format_code_file, main, parse_code_file
 from convdist.construct import REFERENCE_TABLES, construct
 from convdist.convcode import column_distances_trellis, distance_profile, is_noncatastrophic
@@ -239,6 +240,22 @@ class TestProfileCommand:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "step guard" in err
+
+    def test_step_guard_refuses_a_long_free_distance_search(self, tmp_path, capsys, monkeypatch):
+        # every excursion of a memory-10 code takes at least 11 steps; the
+        # guard is cut to 10 steps of 2^12 branch updates, which still
+        # admits the profile to jmax = 2
+        path = tmp_path / "c.txt"
+        run(capsys, "construct", "2", "1", "10", "--out", str(path), "--quiet")
+        monkeypatch.setattr(convcode, "STEP_WORK_GUARD", 10 << 12)
+        rc, _, err = run(capsys, "profile", str(path), "--jmax", "2")
+        assert rc == 0, err
+        t0 = time.monotonic()
+        rc, out, err = run(capsys, "profile", str(path), "--jmax", "2", "--free")
+        assert time.monotonic() - t0 < 1.0
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "11 steps of 2^12 branch updates exceed the step guard" in err
 
     def test_free_of_catastrophic_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -166,9 +166,11 @@ class TestDistances:
         assert prof.method == "exhaustive" and prof.values == (130, 130, 130)
 
     def test_weight_table_guard_precedes_allocation(self, monkeypatch):
-        # 26 message bits pass the message guard; a 2^26-entry table does not
+        # 26 message bits pass the message guard; a 2^26-entry table does not,
+        # also when the code already keeps a shallower table
         c = code_from_rows(["11"] + ["00"] * 24 + ["10"])
         assert c.mu == 25
+        assert column_distances_exhaustive(c, 3) == [2, 2, 2, 2]
 
         def no_tables(*args):
             raise AssertionError("weight tables built past the guard")
@@ -191,6 +193,57 @@ class TestDistances:
             DistanceProfile((3, 2))
         with pytest.raises(ValueError):
             DistanceProfile((2, 3), free_distance=2)
+
+
+class TestKeptValues:
+    def test_each_table_is_built_once(self, monkeypatch):
+        code, _ = construct(16, 1, 4)
+        pred = predicted_profile_rate_1_n(16, 4, 9)
+        spans, verdicts = [], []
+        xor_span, left_prime = convcode.xor_span, convcode._left_prime
+        monkeypatch.setattr(convcode, "xor_span", lambda rows, n: spans.append(len(rows)) or xor_span(rows, n))
+        monkeypatch.setattr(convcode, "_left_prime", lambda c: verdicts.append(c) or left_prime(c))
+        for _ in range(2):
+            assert column_distances_trellis(code, 9) == list(pred.values)
+            assert distance_profile(code, 9).values == pred.values
+            assert free_distance(code) == pred.free_distance
+            assert is_noncatastrophic(code)
+        # one state table of memory + k = 5 rows, one verdict
+        assert spans == [5] and verdicts == [code]
+        assert column_distances_exhaustive(code, 2) == list(pred.values[:3])
+        row_weight_bounds(code, 9)
+        # a deeper window table replaces the shallower one, which it extends
+        assert spans == [5, 3, 5]
+        assert column_distances_exhaustive(code, 3) == list(pred.values[:4])
+        row_weight_bounds(code, 2)
+        assert spans == [5, 3, 5]
+
+    def test_kept_arrays_are_read_only_prefixes(self):
+        c = code_from_rows(["1111", "1010", "1100"])
+        bw, _ = convcode._state_tables(c)
+        with pytest.raises(ValueError, match="read-only"):
+            bw[(0,) * bw.ndim] = 1
+        # depth 0 is served as a prefix of the depth-2 table
+        for jmax in (2, 0):
+            table = convcode._window_weights(c, jmax)
+            fresh = convcode._window_weights(code_from_rows(["1111", "1010", "1100"]), jmax)
+            assert len(table) == 1 << (jmax + 1) and table.tolist() == fresh.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    def test_window_table_holds_n(self):
+        assert convcode._window_weights(code_from_rows(["1" * 256]), 0).dtype == "uint16"
+        # the lower bound sums past the uint8 entries of its table
+        c = code_from_rows(["1" * 200, "1" * 100 + "0" * 100])
+        assert convcode._window_weights(c, 1).dtype == "uint8"
+        assert row_weight_bounds(c, 1).lower == (200, 300)
+
+    def test_kept_values_leave_equality_and_hash_alone(self):
+        a, b = (code_from_rows(["1111", "1010", "1100"]) for _ in range(2))
+        free_distance(a)
+        row_weight_bounds(a, 3)
+        assert {"_trellis", "_noncatastrophic", "_window_table"} <= vars(a).keys()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
 class TestStructure:
@@ -223,8 +276,9 @@ class TestStructure:
 
     def test_rank_deficient_raises(self):
         c = code_from_rows(["11", "11", "11", "11"], k=2, delta=1)
-        with pytest.raises(ValueError):
-            is_noncatastrophic(c)
+        for _ in range(2):  # on every call: an exception is not kept
+            with pytest.raises(ValueError):
+                is_noncatastrophic(c)
         assert internal_degree(c) is None
 
     def test_more_rows_than_columns_raises(self):

@@ -1,6 +1,7 @@
 """Property tests: the structural predicates against the k x k minors, the
-batch column-distance kernel against the trellis, and the code file format
-round trip and parser robustness."""
+batch column-distance kernel against the trellis, the values a code keeps
+against a fresh code, and the code file format round trip and parser
+robustness."""
 
 import json
 
@@ -13,10 +14,13 @@ from convdist.cli import code_to_json_dict, format_code_file, parse_code_file
 from convdist.convcode import (
     ConvCode,
     _min_weights,
+    column_distances_exhaustive,
     column_distances_trellis,
+    free_distance,
     internal_degree,
     is_delay_free,
     is_noncatastrophic,
+    row_weight_bounds,
 )
 from convdist.gf2core import BitMatrix
 from convdist.optsearch import _code_from_tubes, _tube_weights
@@ -62,6 +66,42 @@ def test_noncatastrophic_matches_minor_gcd(c):
     for m in minors[1:]:
         g = poly_gcd(g, m)
     assert is_noncatastrophic(c) == (g.bits == 1)
+
+
+def analyses(c):
+    """Every public analysis of the delay-free code c, by name, as functions
+    of a code equal to c."""
+    jmax = c.mu + 1
+    out = {
+        "trellis": lambda x: column_distances_trellis(x, jmax),
+        "exhaustive, shallow": lambda x: column_distances_exhaustive(x, c.mu // 2),
+        "exhaustive, full": lambda x: column_distances_exhaustive(x, c.mu),
+        "bounds": lambda x: row_weight_bounds(x, jmax),
+        "noncatastrophic": is_noncatastrophic,
+    }
+    if is_noncatastrophic(c):
+        out["free distance"] = free_distance
+    return out
+
+
+# each example runs every analysis three times over, the free distance of
+# memory-16 codes among them
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(codes())
+def test_kept_values_leave_every_answer_alone(c):
+    """Each analysis answers the same on a fresh code as on one that has run
+    all the others, whichever order built the kept tables."""
+    assume(is_delay_free(c))
+
+    def fresh():
+        return ConvCode(c.n, c.k, c.coeffs, c.delta)
+
+    todo = analyses(fresh())
+    want = {name: f(fresh()) for name, f in todo.items()}
+    for order in (list(todo), list(todo)[::-1]):
+        code = fresh()
+        for _ in range(2):
+            assert {name: todo[name](code) for name in order} == want, order
 
 
 @st.composite
