@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
-"""A/B benchmark of two commits of this repository, in alternating pairs.
+"""A/B benchmark of a parent commit against HEAD, in alternating pairs.
 
-    python3 scripts/bench_pair.py --parent REV [--change REV] --tag TAG \\
-        --seconds S [--first-seed N] WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
+    python3 scripts/bench_pair.py --parent REV --tag TAG --seconds S \\
+        [--first-seed N] WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
 
-Both commits (the change defaults to HEAD) are exported with `git archive`
-into temporary directories.  Pair i of a workload runs the unmodified
-perfbench/run.py of each on seed first-seed + i; the side that runs first
-alternates.  BENCH_<TAG>.json, at the root of the checkout, holds both
-commits, every run's metrics and `env` line and, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles and the pairs the change
-won.  Standard library only."""
+The parent and HEAD are exported with `git archive` into temporary
+directories.  Pair i of a workload runs the unmodified perfbench/run.py of
+each on seed first-seed + i; the side that runs first alternates.
+BENCH_<TAG>.json, at the root of the checkout, holds both commits and the
+tree ids of their src/ (which an amended commit keeps), every run's metrics
+and `env` line and, per end-to-end metric of BENCHMARK.json, each side's
+median and quartiles and the pairs the change won.  Standard library only."""
 
 import argparse
 import json
@@ -23,6 +23,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+
+def rev_parse(*revs):
+    return subprocess.run(["git", "rev-parse", *revs], cwd=ROOT,
+                          capture_output=True, text=True, check=True).stdout.split()
 
 
 def run(tree, workload, seed, seconds):
@@ -51,17 +56,15 @@ def summary(runs, metrics):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
-    p.add_argument("--change", default="HEAD")
     p.add_argument("--tag", required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS")
     args = p.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    commits = {side: subprocess.run(["git", "rev-parse", "--verify", getattr(args, side) + "^{commit}"],
-                                    cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
-               for side in SIDES}
-    doc = {**commits, "seconds": args.seconds, "workloads": {}}
+    commits = dict(zip(SIDES, rev_parse(args.parent + "^{commit}", "HEAD^{commit}")))
+    src_trees = dict(zip(SIDES, rev_parse(*(c + ":src" for c in commits.values()))))
+    doc = {**commits, "src_trees": src_trees, "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         for side, tree in trees.items():

@@ -83,7 +83,7 @@ class ConvCode:
     @cached_property
     def _trellis(self):
         """(bw, plan) of `_state_tables`, built on first use."""
-        return _build_state_tables(self)
+        return _state_tables(self)
 
     @cached_property
     def _noncatastrophic(self) -> bool:
@@ -276,17 +276,13 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
 
 
 def _state_tables(c: ConvCode):
-    """Branch weights and the butterfly plan of `_min_plus_step`, built
-    once per code and kept on it.
+    """Branch weights and the butterfly plan of `_min_plus_step`; c keeps
+    them as `c._trellis`.
 
     bw has two axes per row, from the last row down: u_r and register r of
     the start state; it is read-only.  The plan is the shape that broadcasts
     the labels of the start states over the u_r axes, and, for each row r,
     the number of states below register r, 2^offset_r."""
-    return c._trellis
-
-
-def _build_state_tables(c: ConvCode):
     guard_table(external_degree(c) + c.k, c.n, "state-table")
     nus = row_degrees(c)
     # Span bit offset_r + r + e is the input of row r from nu_r - e steps
@@ -341,7 +337,7 @@ def column_distances_trellis(c: ConvCode, jmax: int):
         raise ValueError("column distances need a delay-free generator matrix")
     if refusal := _trellis_refusal(c, jmax):
         raise ValueError(refusal)
-    bw, plan = _state_tables(c)
+    bw, plan = c._trellis
     cur = _min_plus_step(_from_zero_state(bw.size >> c.k), bw, plan, leave_zero=True)
     dist = [int(cur.min())]
     for _ in range(jmax):
@@ -373,7 +369,7 @@ def free_distance(c: ConvCode) -> int:
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    bw, plan = _state_tables(c)
+    bw, plan = c._trellis
     bits = max(external_degree(c) + c.k, _STEP_FLOOR_BITS)
     labels = _from_zero_state(bw.size >> c.k)
     best, leave_zero, steps = _INF, True, 0

@@ -220,7 +220,7 @@ class TestKeptValues:
 
     def test_kept_arrays_are_read_only_prefixes(self):
         c = code_from_rows(["1111", "1010", "1100"])
-        bw, _ = convcode._state_tables(c)
+        bw, _ = c._trellis
         with pytest.raises(ValueError, match="read-only"):
             bw[(0,) * bw.ndim] = 1
         # depth 0 is served as a prefix of the depth-2 table
