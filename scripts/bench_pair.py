@@ -10,7 +10,8 @@ each on seed first-seed + i; the side that runs first alternates.
 BENCH_<TAG>.json, at the root of the checkout, holds both commits and the
 tree ids of their src/ (which an amended commit keeps), every run's metrics
 and `env` line and, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles and the pairs the change won.  Standard library only."""
+median and quartiles, the pairs the change won and a verdict (see
+`verdict`).  Standard library only."""
 
 import argparse
 import json
@@ -41,15 +42,39 @@ def run(tree, workload, seed, seconds):
     return {"seed": seed, "env": env, **json.loads(lines[-1])}
 
 
+def verdict(entry, pairs, bound):
+    """`gain` when the change wins at least 9 in 10 of the pairs and its
+    median beats the parent's by more than the parent's interquartile range;
+    `worse` when its median is worse by more than `bound`, a fraction of the
+    parent's median; `unresolved` when the parent's interquartile range is
+    wider than that fraction and the change does not win every pair; else
+    `same`."""
+    parent, change, won = entry["parent"], entry["change"], entry["pairs_won"]
+    sign = 1 if entry["better"] == "lower" else -1
+    worse_by = sign * (change["median"] - parent["median"])
+    spread, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
+    if 10 * won >= 9 * pairs and -worse_by > spread:
+        return "gain"
+    if worse_by > allowed:
+        return "worse"
+    if spread > allowed and won < pairs:
+        return "unresolved"
+    return "same"
+
+
 def summary(runs, metrics):
+    """Per metric of BENCHMARK.json's `end_to_end` list: each side's median
+    and quartiles, the pairs the change won and the verdict."""
     out = {"pairs": len(runs)}
-    for name, better in metrics.items():
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         values = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in SIDES}
         won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
         out[name] = {"better": better, "pairs_won": won}
         for side, vals in values.items():
             q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
             out[name][side] = {"median": statistics.median(vals), "q1": q1, "q3": q3}
+        out[name]["verdict"] = verdict(out[name], len(runs), metric["bound"])
     return out
 
 
@@ -61,7 +86,7 @@ def main(argv=None):
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS")
     args = p.parse_args(argv)
-    metrics = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     commits = dict(zip(SIDES, rev_parse(args.parent + "^{commit}", "HEAD^{commit}")))
     src_trees = dict(zip(SIDES, rev_parse(*(c + ":src" for c in commits.values()))))
     doc = {**commits, "src_trees": src_trees, "seconds": args.seconds, "workloads": {}}

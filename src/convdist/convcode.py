@@ -3,16 +3,16 @@
 Column distances come from two independent algorithms — exhaustive message
 enumeration over the truncated sliding matrix, and a minimum-weight dynamic
 program over numpy tables of the shift-register states — which must always
-agree.  The free distance is an exact shortest-path search on the same
-state tables.
+agree.  The free distance is read off the trellis run of the column
+distances, extended until d_t reaches the lightest return to the zero state.
 
-A `ConvCode` computes three derived values once, on first use, and keeps
-them for as long as the object lives: the state tables of the trellis and
-the free distance, the verdict of `is_noncatastrophic`, and the deepest
-window-weight table built so far.  The arrays are read-only.  A shallower
-depth reads a prefix of the window table, so one table serves the
-exhaustive oracle and the weight bounds at every depth.  The kept values
-sit outside the dataclass fields: equality, hashing and repr ignore them.
+A `ConvCode` keeps four derived values for as long as the object lives: the
+state tables, the trellis run from the zero state (extended, never redone),
+the verdict of `is_noncatastrophic`, and the deepest window-weight table
+built so far.  The arrays are read-only.  A shallower depth reads a prefix
+of the run or of the window table, so one run serves the trellis oracle and
+the free distance, and one table the exhaustive oracle and the weight
+bounds.  Equality, hashing and repr ignore the kept values.
 """
 
 from __future__ import annotations
@@ -313,12 +313,6 @@ def _min_plus_step(cur, bw, plan, leave_zero: bool = False):
     return total.reshape(-1)
 
 
-def _from_zero_state(size: int):
-    start = np.full(size, _INF, dtype=np.int32)
-    start[0] = 0
-    return start
-
-
 def _trellis_refusal(c: ConvCode, jmax: int) -> Optional[str]:
     """Why the trellis refuses d_0..d_jmax of c, from its step guard and its
     state-table guard, or None when both admit the job.  Nothing is built."""
@@ -331,19 +325,33 @@ def _trellis_refusal(c: ConvCode, jmax: int) -> Optional[str]:
     return None
 
 
+def _trellis_run(c: ConvCode, length: int):
+    """c's trellis run from the zero state, extended to `length` steps if it
+    is shorter, as (cur, dist); c keeps it.  cur[s], read-only, is the least
+    weight of a path of the run's length from the zero state to s that starts
+    with a nonzero input; dist is d_0 onwards.  The all-zero branch keeps the
+    zero state's label, so cur[0] is the lightest return to it so far."""
+    bw, plan = c._trellis
+    if "_run" not in c.__dict__:
+        start = np.full(bw.size >> c.k, _INF, dtype=np.int32)
+        start[0] = 0
+        c.__dict__["_run"] = start, []
+    cur, dist = c.__dict__["_run"]
+    while len(dist) < length:
+        cur = _min_plus_step(cur, bw, plan, leave_zero=not dist)
+        dist.append(int(cur.min()))
+    cur.flags.writeable = False
+    c.__dict__["_run"] = cur, dist
+    return cur, dist
+
+
 def column_distances_trellis(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by minimum-weight traversal of the encoder states."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
     if refusal := _trellis_refusal(c, jmax):
         raise ValueError(refusal)
-    bw, plan = c._trellis
-    cur = _min_plus_step(_from_zero_state(bw.size >> c.k), bw, plan, leave_zero=True)
-    dist = [int(cur.min())]
-    for _ in range(jmax):
-        cur = _min_plus_step(cur, bw, plan)
-        dist.append(int(cur.min()))
-    return dist
+    return _trellis_run(c, jmax + 1)[1][: jmax + 1]
 
 
 def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
@@ -357,36 +365,28 @@ def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
 
 
 def free_distance(c: ConvCode) -> int:
-    """Exact free distance by bounded relaxation on the encoder state tables.
+    """Exact free distance from the trellis run of the column distances.
 
     Only defined here for non-catastrophic codes, where the free distance is
     attained by a finite excursion that leaves the zero state with a nonzero
-    input and returns to it.  labels[s] is the lightest excursion found so
-    far that is at s and has not yet returned; the zero state is held at
-    +inf, and each return to it updates `best`.  Each step is priced as
-    `check_jmax` prices one, and the search is refused once its steps pass
-    STEP_WORK_GUARD.
+    input and returns to it, and d_t rises to it.  Any path longer than the
+    run weighs at least its d_t, so once d_t reaches cur[0], the lightest
+    return so far, that return is the free distance.  The run's length is
+    priced as `check_jmax` prices it before each new step, and the search is
+    refused once it passes STEP_WORK_GUARD.
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    bw, plan = c._trellis
     bits = max(external_degree(c) + c.k, _STEP_FLOOR_BITS)
-    labels = _from_zero_state(bw.size >> c.k)
-    best, leave_zero, steps = _INF, True, 0
-    while True:
-        steps += 1
+    cur, dist = _trellis_run(c, 0)
+    while not dist or dist[-1] < cur[0]:
+        steps = len(dist) + 1
         if steps << bits > STEP_WORK_GUARD:
             raise ValueError(
                 f"free distance: {steps} steps of 2^{bits} branch updates exceed the step guard"
             )
-        cand = _min_plus_step(labels, bw, plan, leave_zero)
-        best = min(best, int(cand[0]))
-        cand[0] = labels[0] = _INF
-        np.minimum(cand, labels, out=cand)
-        # weights are nonnegative, so no excursion still open can beat best
-        if cand.min() >= best or np.array_equal(cand, labels):
-            return int(best)
-        labels, leave_zero = cand, False
+        cur, dist = _trellis_run(c, steps)
+    return int(cur[0])
 
 
 # ---------------------------------------------------------------------------
@@ -572,20 +572,20 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
         raise ValueError("bounds need a delay-free generator matrix")
     check_jmax(jmax)
     # Increment i <= mu is the least window weight with a nonzero block of
-    # G_i and zero later blocks; for i > mu it is 0: take u = (u_0, 0, ..., 0).
-    # The increments are summed as Python ints: the table's type holds only n.
-    table, k = _window_weights(c, jmax), c.k
-    lower = list(accumulate(int(table[1 << (i * k) : 1 << (i * k + k)].min())
-                            for i in range(min(jmax, c.mu) + 1)))
+    # G_i and zero later blocks, the table's entries 2^(ik) to 2^(ik + k); for
+    # i > mu it is 0: take u = (u_0, 0, ..., 0).  One reduceat at the block
+    # starts gives them all, summed as Python ints: the table's type holds only n.
+    starts = [1 << (i * c.k) for i in range(min(jmax, c.mu) + 1)]
+    lower = list(accumulate(np.minimum.reduceat(_window_weights(c, jmax), starts).tolist()))
     # upper[j]: the lightest row r of G_0..G_min(j, mu), from u_0 = e_r.
     # For a row-reduced matrix every row degree is <= delta, so the cap sums
     # to min(j, delta); a non-row-reduced row may keep contributing up to mu,
     # hence the max.
-    row_weights = [[row.bit_count() for row in g.row_bits] for g in c.coeffs]
-    upper = np.cumsum(row_weights, axis=0).min(axis=1)
+    weights = ([row.bit_count() for row in g.row_bits] for g in c.coeffs)
+    upper = [min(s) for s in accumulate(weights, lambda a, b: [x + y for x, y in zip(a, b)])]
     reach = max(c.delta, c.mu)
     return BoundReport(
         lower=tuple([lower[min(j, c.mu)] for j in range(jmax + 1)]),
-        upper=tuple([int(upper[min(j, c.mu)]) for j in range(jmax + 1)]),
+        upper=tuple([upper[min(j, c.mu)] for j in range(jmax + 1)]),
         cap=tuple([c.n * (min(j, reach) + 1) for j in range(jmax + 1)]),
     )

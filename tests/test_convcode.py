@@ -238,11 +238,34 @@ class TestKeptValues:
         assert convcode._window_weights(c, 1).dtype == "uint8"
         assert row_weight_bounds(c, 1).lower == (200, 300)
 
+    def test_free_distance_reads_the_kept_run(self, monkeypatch):
+        code, _ = construct(5, 1, 10)
+        want = reference_free_distance(code)
+        steps, step = [], convcode._min_plus_step
+        monkeypatch.setattr(convcode, "_min_plus_step",
+                            lambda *a, **kw: steps.append(1) or step(*a, **kw))
+        jmax = code.delta + 5
+        tr = column_distances_trellis(code, jmax)
+        assert len(steps) == jmax + 1
+        assert free_distance(code) == want and len(steps) == jmax + 1
+        assert column_distances_trellis(code, 4) == tr[:5] and len(steps) == jmax + 1
+        assert column_distances_trellis(code, jmax + 3)[: jmax + 1] == tr
+        assert len(steps) == jmax + 4
+        cur, _ = code._run
+        with pytest.raises(ValueError, match="read-only"):
+            cur[0] = 0
+        # the other way round: the free distance stops early, and the trellis
+        # goes on from where it stopped
+        fresh = ConvCode(code.n, code.k, code.coeffs, code.delta)
+        steps.clear()
+        assert free_distance(fresh) == want and len(steps) < jmax + 1
+        assert column_distances_trellis(fresh, jmax) == tr and len(steps) == jmax + 1
+
     def test_kept_values_leave_equality_and_hash_alone(self):
         a, b = (code_from_rows(["1111", "1010", "1100"]) for _ in range(2))
         free_distance(a)
         row_weight_bounds(a, 3)
-        assert {"_trellis", "_noncatastrophic", "_window_table"} <= vars(a).keys()
+        assert {"_trellis", "_run", "_noncatastrophic", "_window_table"} <= vars(a).keys()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
 
 
@@ -442,6 +465,13 @@ def check_oracles(c):
         return False
     assert free_distance(c) == reference_free_distance(c), c
     return True
+
+
+def test_constructed_codes_oracles_agree():
+    # n = 1 gives the catastrophic (1, 1, delta) code 1 + ... + z^delta
+    for delta in range(7):
+        for n in range(2, (2 << delta) + 2):
+            assert check_oracles(construct(n, 1, delta)[0]), (n, delta)
 
 
 def test_random_codes_oracles_agree():

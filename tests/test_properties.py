@@ -70,17 +70,25 @@ def test_noncatastrophic_matches_minor_gcd(c):
 
 def analyses(c):
     """Every public analysis of the delay-free code c, by name, as functions
-    of a code equal to c."""
+    of a code equal to c.  For a non-catastrophic c the free distance sits
+    between a trellis call that ends before the step where its search stops
+    and one that ends past it, so each order of the analyses runs it after
+    one of them and before the other."""
     jmax = c.mu + 1
-    out = {
-        "trellis": lambda x: column_distances_trellis(x, jmax),
+    out = {"trellis": lambda x: column_distances_trellis(x, jmax)}
+    if is_noncatastrophic(c):
+        probe = ConvCode(c.n, c.k, c.coeffs, c.delta)
+        free_distance(probe)
+        stop = len(probe._run[1])  # steps the search took: d_0..d_{stop - 1}
+        out["trellis, short of the stop"] = lambda x: column_distances_trellis(x, max(stop - 2, 0))
+        out["free distance"] = free_distance
+        out["trellis, past the stop"] = lambda x: column_distances_trellis(x, stop)
+    out.update({
         "exhaustive, shallow": lambda x: column_distances_exhaustive(x, c.mu // 2),
         "exhaustive, full": lambda x: column_distances_exhaustive(x, c.mu),
         "bounds": lambda x: row_weight_bounds(x, jmax),
         "noncatastrophic": is_noncatastrophic,
-    }
-    if is_noncatastrophic(c):
-        out["free distance"] = free_distance
+    })
     return out
 
 
