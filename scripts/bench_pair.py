@@ -9,9 +9,10 @@ directories.  Pair i of a workload runs the unmodified perfbench/run.py of
 each on seed first-seed + i; the side that runs first alternates.
 BENCH_<TAG>.json, at the root of the checkout, holds both commits and the
 tree ids of their src/ (which an amended commit keeps), every run's metrics
-and `env` line and, per end-to-end metric of BENCHMARK.json, each side's
-median and quartiles, the pairs the change won and a verdict (see
-`verdict`).  Standard library only."""
+and `env` line, each side's operations attempted and failed over all its
+runs and whether every run was correct and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles, the pairs the change won
+and a verdict (see `verdict`).  Standard library only."""
 
 import argparse
 import json
@@ -63,9 +64,17 @@ def verdict(entry, pairs, bound):
 
 
 def summary(runs, metrics):
-    """Per metric of BENCHMARK.json's `end_to_end` list: each side's median
-    and quartiles, the pairs the change won and the verdict."""
+    """Each side's `attempted` and `failed` summed over its runs and whether
+    every run was `correct`; then, per metric of BENCHMARK.json's
+    `end_to_end` list, each side's median and quartiles, the pairs the
+    change won and the verdict."""
     out = {"pairs": len(runs)}
+    for side in SIDES:
+        out[side] = {
+            "attempted": sum(r[side]["attempted"] for r in runs),
+            "failed": sum(r[side]["failed"] for r in runs),
+            "correct": all(r[side]["correct"] for r in runs),
+        }
     for metric in metrics:
         name, better = metric["name"], metric["better"]
         values = {side: [r[side]["metrics"][name]["value"] for r in runs] for side in SIDES}

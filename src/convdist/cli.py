@@ -58,7 +58,8 @@ def parse_code_file(text: str) -> cc.ConvCode:
 
     The declared delta must match the internal degree of G(z), the largest
     degree of its k x k minors; a mismatch is a hard error.  Every malformed
-    input raises ValueError.  Packing G(z) takes time in proportion to its
+    input raises ValueError, a JSON block of G that does not hold exactly k
+    rows among them.  Packing G(z) takes time in proportion to its
     (mu+1)*k rows times (mu+1)*n bits, so once the header and the row count
     are known, and before any row is checked, the file is priced as that
     many rows, rounded down to a power of two, of that width: every code
@@ -73,6 +74,7 @@ def parse_code_file(text: str) -> cc.ConvCode:
         header = [d["n"], d["k"], d["delta"]]
         if not isinstance(d["G"], list) or not all(isinstance(b, list) for b in d["G"]):
             raise ValueError("JSON 'G' must be a list of row lists")
+        sizes = [len(block) for block in d["G"]]
         rows = [r for block in d["G"] for r in block]
     else:
         lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
@@ -81,10 +83,12 @@ def parse_code_file(text: str) -> cc.ConvCode:
         header = lines[0].split()
         if len(header) != 3:
             raise ValueError("header must be 'n k delta'")
-        rows = lines[1:]
+        rows, sizes = lines[1:], []
     n, k, delta = (_header_int(x) for x in header)
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
+    if bad := [i for i, size in enumerate(sizes) if size != k]:
+        raise ValueError(f"JSON block G[{bad[0]}] must hold k={k} rows, not {sizes[bad[0]]}")
     if len(rows) % k:
         raise ValueError(f"{len(rows)} coefficient rows is not a multiple of k={k}")
     guard_table(len(rows).bit_length() - 1, len(rows) // k * n, "code-file")

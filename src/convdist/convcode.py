@@ -202,7 +202,7 @@ def _add_periodic(out: np.ndarray, table: np.ndarray, start: int) -> None:
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     """Column distances of a batch of codes from their window-weight tables.
 
-    tables[b] is code b's output-block weight by window, as `_window_weights`
+    tables[:, b] is code b's window-weight table, as `_window_weights`
     lays it out.  Entry (b, j) of the result is the least weight of output
     blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  A prefix
     is an int with u_0 in its top block, so the 2^k children of prefix p are
@@ -217,13 +217,12 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     weight plus rowmin[p mod 2^(kD)], the lightest last block of p's
     children's windows.
 
-    Every work array holds the batch as its innermost axis, so each add
-    runs over whole batches; a table that already lies in memory that way
-    (as `xor_span` fills a batch of spans) is used without a copy.
+    Tables and work arrays hold the batch innermost, as `xor_span` fills
+    a batch of spans, so each add runs over whole batches.
     """
-    batch, size = tables.shape
+    size, batch = tables.shape
     dtype = np.min_scalar_type(int(tables.max()) * (jmax + 1))
-    tables = np.ascontiguousarray(tables.T, dtype=dtype)
+    tables = np.ascontiguousarray(tables, dtype=dtype)
     rowmin = tables.reshape(size >> k, 1 << k, batch).min(axis=1)
     dist = np.full((batch, jmax + 1), np.iinfo(dtype).max, dtype=dtype)
     piece = max(1, ((1 << _CHUNK_BITS) >> k) // batch)
@@ -259,7 +258,7 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
     if bits > MESSAGE_GUARD_BITS:
         raise ValueError(f"{bits} message bits exceed the exhaustion guard")
     table = _window_weights(c, jmax)
-    return [int(d) for d in _min_weights(table[None, :], c.k, jmax)[0]]
+    return [int(d) for d in _min_weights(table[:, None], c.k, jmax)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +329,10 @@ def _trellis_run(c: ConvCode, length: int):
     is shorter, as (cur, dist); c keeps it.  cur[s], read-only, is the least
     weight of a path of the run's length from the zero state to s that starts
     with a nonzero input; dist is d_0 onwards.  The all-zero branch keeps the
-    zero state's label, so cur[0] is the lightest return to it so far."""
+    zero state's label, so cur[0] is the lightest return to it so far.  Its
+    `length` steps of the 2^(memory + k) branches of bw are priced first."""
     bw, plan = c._trellis
+    check_jmax(length - 1, bw.size.bit_length() - 1)
     if "_run" not in c.__dict__:
         start = np.full(bw.size >> c.k, _INF, dtype=np.int32)
         start[0] = 0
@@ -371,21 +372,15 @@ def free_distance(c: ConvCode) -> int:
     attained by a finite excursion that leaves the zero state with a nonzero
     input and returns to it, and d_t rises to it.  Any path longer than the
     run weighs at least its d_t, so once d_t reaches cur[0], the lightest
-    return so far, that return is the free distance.  The run's length is
-    priced as `check_jmax` prices it before each new step, and the search is
-    refused once it passes STEP_WORK_GUARD.
+    return so far, that return is the free distance.  The run prices its
+    length before each new step, so the search is refused once it passes
+    STEP_WORK_GUARD.
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    bits = max(external_degree(c) + c.k, _STEP_FLOOR_BITS)
-    cur, dist = _trellis_run(c, 0)
-    while not dist or dist[-1] < cur[0]:
-        steps = len(dist) + 1
-        if steps << bits > STEP_WORK_GUARD:
-            raise ValueError(
-                f"free distance: {steps} steps of 2^{bits} branch updates exceed the step guard"
-            )
-        cur, dist = _trellis_run(c, steps)
+    cur, dist = _trellis_run(c, 1)
+    while dist[-1] < cur[0]:
+        cur, dist = _trellis_run(c, len(dist) + 1)
     return int(cur[0])
 
 

@@ -211,13 +211,11 @@ def guard_table(entry_bits: int, n: int, what: str) -> None:
 def xor_span(rows, n: int) -> np.ndarray:
     """Entry i is the XOR of the n-bit `rows` selected by the bits of i, as
     little-endian uint64 words: shape (2^len(rows), ceil(n / 64)).  An
-    integer array of shape (batch, r), n <= 64, gives one span per batch
-    entry: shape (batch, 2^r, 1)."""
-    batched = isinstance(rows, np.ndarray)
-    if batched:
-        # A batch is filled innermost, so that each XOR runs over the whole
-        # batch, and returned as a view in the documented shape.
-        rows = np.moveaxis(rows.astype(np.uint64), -1, 0)[..., None]
+    integer array of shape (r, batch), n <= 64, row i of every batch entry
+    in rows[i], gives one span per batch entry with the batch innermost,
+    so that each XOR runs over the whole batch: shape (2^r, batch, 1)."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.astype(np.uint64, order="C")[..., None]
     else:
         shifts = range(0, max(64, n), 64)
         rows = np.array([[(r >> s) & _WORD_MASK for s in shifts] for r in rows], dtype=np.uint64)
@@ -226,7 +224,7 @@ def xor_span(rows, n: int) -> np.ndarray:
     for i, row in enumerate(rows):
         half = 1 << i
         np.bitwise_xor(span[:half], row, out=span[half : 2 * half])
-    return np.moveaxis(span, 0, -2) if batched else span
+    return span
 
 
 def span_weights(span: np.ndarray, dtype="int64") -> np.ndarray:

@@ -28,7 +28,7 @@ from .convcode import (
     internal_degree,
 )
 from .gf2core import (
-    _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, transpose, xor_span,
+    _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
 )
 
 CODE_SEARCH_GUARD_BITS = 24
@@ -117,7 +117,9 @@ def search_optimal_row(top: BitMatrix) -> RowSearchResult:
 # Column c's "tube" stacks it through G_0..G_delta: bit i*k + r is row r of
 # G_i.  A simultaneous column permutation reorders the tubes and keeps the
 # column distances, so the search visits one sorted n-tuple of tubes per
-# orbit, in lexicographic order, and scores the orbits in numpy batches.
+# orbit, in lexicographic order.  Each batch of orbits is then turned once
+# into stacked rows (row i*k + r is row r of G_i), which are its window rows
+# too; the filter, the scores and the codes all read those rows.
 
 
 def _orbit_chunks(values: int, n: int, rows: int):
@@ -128,39 +130,26 @@ def _orbit_chunks(values: int, n: int, rows: int):
         yield np.array(chunk, dtype=np.int64)
 
 
-def _code_from_tubes(n: int, k: int, delta: int, tubes) -> ConvCode:
-    """The code whose column c is tubes[c], trailing zero G_i trimmed."""
-    return _stacked_code(transpose([int(t) for t in tubes], k * (delta + 1)), n, k, delta)
+def _stacked_rows(tubes: np.ndarray, height: int) -> np.ndarray:
+    """Entry (b, i): the n-bit stacked row i of orbit b, whose bit c is bit
+    i of tubes[b, c]."""
+    column_bits = np.int64(1) << np.arange(tubes.shape[1], dtype=np.int64)
+    return ((tubes[:, None, :] >> np.arange(height)[:, None]) & 1) @ column_bits
 
 
-def _in_space(tubes: np.ndarray, k: int, delta: int) -> np.ndarray:
-    """Which orbits are delay-free codes of degree exactly delta.
+def _in_space(rows: np.ndarray, n: int, k: int, delta: int) -> np.ndarray:
+    """Which orbits, given by their stacked rows, are delay-free codes of
+    degree exactly delta.
 
     G_0 has full rank iff every nonzero combination of its rows is nonzero,
-    which one span decides for the whole batch.  The degree is then
-    G_delta != 0 for k = 1; for k > 1 the internal degree of each delay-free
-    orbit is computed from its window rows, which are its stacked rows:
-    row r of G_i is window row i*k + r."""
-    keep = _tube_weights(tubes, k)[:, 1:].all(axis=1)
+    which one span of the first k rows decides for the whole batch.  The
+    degree is then G_delta != 0 for k = 1; for k > 1 it is the internal
+    degree of each delay-free orbit's rows."""
+    keep = xor_span(rows[:, :k].T, n)[1:, :, 0].all(axis=0)
     if k == 1:
-        return keep & ((tubes >> delta) & 1).any(axis=1)
-    n = tubes.shape[1]
-    windows = _window_rows(tubes[keep], k * (delta + 1)).astype(np.uint64).tolist()
-    keep[keep] = [_internal_degree(w, n, k) == delta for w in windows]
+        return keep & (rows[:, delta] != 0)
+    keep[keep] = [_internal_degree(stack, n, k) == delta for stack in rows[keep].tolist()]
     return keep
-
-
-def _window_rows(tubes: np.ndarray, bits: int) -> np.ndarray:
-    """Entry (b, i): the n output bits of orbit b that window bit i switches
-    on, that is bit i of every column tube."""
-    column_bits = np.int64(1) << np.arange(tubes.shape[1], dtype=np.int64)
-    return ((tubes[:, None, :] >> np.arange(bits)[:, None]) & 1) @ column_bits
-
-
-def _tube_weights(tubes: np.ndarray, bits: int) -> np.ndarray:
-    """Window-weight tables of a batch of orbits: entry (b, w) is the sum
-    over columns c of parity(w & tubes[b, c]), for windows of `bits` bits."""
-    return span_weights(xor_span(_window_rows(tubes, bits), tubes.shape[1]), np.uint8)
 
 
 def price_search(n: int, k: int, delta: int, horizon: int) -> None:
@@ -195,16 +184,18 @@ def price_search(n: int, k: int, delta: int, horizon: int) -> None:
 
 
 def _scored_orbits(n: int, k: int, delta: int, horizon: int):
-    """Yield (tubes, profiles) chunks: every orbit of delay-free (n, k, delta)
-    codes in lexicographic order, with its d_0..d_horizon, in batches of
-    at most 2^convcode._CHUNK_BITS message prefixes.  The callers run
-    `price_search` first."""
+    """Yield (rows, profiles) chunks: the stacked rows of every orbit of
+    delay-free (n, k, delta) codes in lexicographic order, with its
+    d_0..d_horizon, in batches of at most 2^convcode._CHUNK_BITS message
+    prefixes.  The callers run `price_search` first."""
     window_bits = k * (min(horizon, delta) + 1)
-    rows = (1 << convcode._CHUNK_BITS) >> (k * (horizon + 1))
-    for tubes in _orbit_chunks(1 << (k * (delta + 1)), n, rows):
-        tubes = tubes[_in_space(tubes, k, delta)]
-        if len(tubes):
-            yield tubes, _min_weights(_tube_weights(tubes, window_bits), k, horizon)
+    batch = (1 << convcode._CHUNK_BITS) >> (k * (horizon + 1))
+    for tubes in _orbit_chunks(1 << (k * (delta + 1)), n, batch):
+        rows = _stacked_rows(tubes, k * (delta + 1))
+        rows = rows[_in_space(rows, n, k, delta)]
+        if len(rows):
+            tables = span_weights(xor_span(rows[:, :window_bits].T, n), np.uint8)
+            yield rows, _min_weights(tables, k, horizon)
 
 
 def _lex_max_rows(profiles: np.ndarray) -> np.ndarray:
@@ -217,10 +208,10 @@ def _lex_max_rows(profiles: np.ndarray) -> np.ndarray:
 
 
 def _best_orbits(scored, key_len: int):
-    """The lexicographically largest profile, and the tubes of every orbit
-    whose first key_len distances equal its own, in orbit order."""
+    """The lexicographically largest profile, and the stacked rows of every
+    orbit whose first key_len distances equal its own, in orbit order."""
     best, achievers = None, []
-    for tubes, profiles in scored:
+    for rows, profiles in scored:
         top = tuple([int(v) for v in profiles[_lex_max_rows(profiles)[0]]])
         if best is None or top[:key_len] > best[:key_len]:
             best, achievers = top, []
@@ -228,7 +219,7 @@ def _best_orbits(scored, key_len: int):
             continue
         best = max(best, top)
         ties = (profiles[:, :key_len] == best[:key_len]).all(axis=1)
-        achievers.append(tubes[ties])
+        achievers.append(rows[ties])
     if best is None:
         raise ValueError("empty enumeration space")
     return best, np.concatenate(achievers)
@@ -239,8 +230,8 @@ def optimal_codes_bruteforce(n: int, k: int, delta: int, horizon: int):
     (n, k, delta) code, with one representative per column-permutation orbit
     that achieves it, in lexicographic order of the sorted tubes."""
     price_search(n, k, delta, horizon)
-    best, tubes = _best_orbits(_scored_orbits(n, k, delta, horizon), horizon + 1)
-    return best, [_code_from_tubes(n, k, delta, t) for t in tubes]
+    best, rows = _best_orbits(_scored_orbits(n, k, delta, horizon), horizon + 1)
+    return best, [_stacked_code(stack, n, k, delta) for stack in rows.tolist()]
 
 
 def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerdict:
@@ -265,9 +256,9 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
         raise ValueError(f"declared degree {c.delta} is not the internal degree {degree}")
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
-    best, tubes = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)
+    best, rows = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)
     through_delta = not profile[: c.delta + 1] < best[: c.delta + 1]
     if profile[: horizon + 1] < best[: horizon + 1]:
-        witness = _code_from_tubes(c.n, c.k, c.delta, tubes[0])
+        witness = _stacked_code(rows[0].tolist(), c.n, c.k, c.delta)
         return OptimalityVerdict(False, horizon, witness, False, through_delta)
-    return OptimalityVerdict(True, horizon, None, len(tubes) > 1, through_delta)
+    return OptimalityVerdict(True, horizon, None, len(rows) > 1, through_delta)

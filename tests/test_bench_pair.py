@@ -1,5 +1,5 @@
-"""The verdict of scripts/bench_pair.py on synthetic pairs of runs; nothing
-is run as a subprocess."""
+"""The summary of scripts/bench_pair.py on synthetic pairs of runs: the
+verdicts and the failure totals; nothing is run as a subprocess."""
 
 import importlib.util
 from pathlib import Path
@@ -15,11 +15,14 @@ LOWER = {"name": "wall_s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "rate", "better": "higher", "bound": 0.25}
 
 
+def synthetic_run(value, attempted=100, failed=0, correct=True):
+    """One run of one side, with the fields every recorded run holds."""
+    metrics = {"wall_s": {"value": value}, "rate": {"value": value}}
+    return {"metrics": metrics, "attempted": attempted, "failed": failed, "correct": correct}
+
+
 def verdict(metric, parent, change):
-    runs = [
-        {side: {"metrics": {metric["name"]: {"value": v}}} for side, v in zip(("parent", "change"), pair)}
-        for pair in zip(parent, change)
-    ]
+    runs = [{"parent": synthetic_run(p), "change": synthetic_run(c)} for p, c in zip(parent, change)]
     return bench_pair.summary(runs, [metric])[metric["name"]]["verdict"]
 
 
@@ -54,3 +57,15 @@ def test_verdict_follows_the_direction_of_the_metric():
     assert verdict(HIGHER, TIGHT, [7.0] * 10) == "worse"
     assert verdict(LOWER, TIGHT, [7.0] * 10) == "gain"
     assert verdict(LOWER, TIGHT, [12.0] * 10) == "same"
+
+
+def test_failures_are_summed_per_side():
+    runs = [
+        {"parent": synthetic_run(1.0, 100), "change": synthetic_run(1.0, 90, failed=2)},
+        {"parent": synthetic_run(1.0, 120), "change": synthetic_run(1.0, 80, failed=1, correct=False)},
+        {"parent": synthetic_run(1.0, 110), "change": synthetic_run(1.0, 95)},
+    ]
+    got = bench_pair.summary(runs, [LOWER])
+    assert got["parent"] == {"attempted": 330, "failed": 0, "correct": True}
+    assert got["change"] == {"attempted": 265, "failed": 3, "correct": False}
+    assert got["wall_s"]["verdict"] == "same"

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -112,6 +113,23 @@ class TestMalformedHeaders:
         path = tmp_path / "c.txt"
         path.write_text(text)
         with pytest.raises(ValueError, match="not an integer"):
+            parse_code_file(text)
+        assert_one_line_error(capsys, path)
+
+    @pytest.mark.parametrize(
+        "k, blocks, message",
+        [
+            # regrouped, this would be the valid (2, 1, 1) code 11 + 10z
+            (1, [["11", "10"], []], "G[0] must hold k=1 rows, not 2"),
+            # regrouped, this would be two full blocks of a wrong degree
+            (2, [["11"], ["10", "01", "11"]], "G[0] must hold k=2 rows, not 1"),
+        ],
+    )
+    def test_json_block_of_the_wrong_size(self, tmp_path, capsys, k, blocks, message):
+        text = json.dumps({"n": 2, "k": k, "delta": 1, "G": blocks})
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_code_file(text)
         assert_one_line_error(capsys, path)
 

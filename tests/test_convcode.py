@@ -544,10 +544,10 @@ def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
                     [rng.randrange(high) for _ in range(1 << (k * (depth + 1)))]
                     for _ in range(rng.randint(1, 5))
                 ]
-                given = np.array(tables)
+                given = np.array(tables).T
                 got = convcode._min_weights(given, k, jmax)
                 want = [scalar_min_weights(t, k, jmax) for t in tables]
                 assert got.tolist() == want, (k, depth, jmax)
-                assert given.tolist() == tables
+                assert given.T.tolist() == tables
                 cases += 1
     assert cases == 4 * (8 + 7 + 5)

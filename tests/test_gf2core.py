@@ -20,7 +20,7 @@ from convdist.gf2core import (
     vstack,
     xor_span,
 )
-from convdist.optsearch import _tube_weights, wt_profile
+from convdist.optsearch import _stacked_rows, wt_profile
 from poly_oracle import POLY_ONE, POLY_ZERO, Poly2, PolyMatrix, k_minors, poly_gcd, vec_mat_mul
 
 
@@ -165,15 +165,15 @@ class TestXorSpan:
     def test_batched_span_is_one_span_per_entry(self):
         rng = random.Random(5)
         rows = [[rng.getrandbits(40) for _ in range(4)] for _ in range(3)]
-        span = xor_span(np.array(rows, dtype=np.int64), 40)
-        assert span.shape == (3, 16, 1)
+        span = xor_span(np.array(rows, dtype=np.int64).T, 40)
+        assert span.shape == (16, 3, 1)
         for b, batch_rows in enumerate(rows):
             expected = [0] * 16
             for u in range(16):
                 for i, row in enumerate(batch_rows):
                     if u >> i & 1:
                         expected[u] ^= row
-            assert span[b, :, 0].tolist() == expected
+            assert span[:, b, 0].tolist() == expected
 
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_block_code_weights_at_word_boundaries(self, n):
@@ -191,11 +191,11 @@ class TestXorSpan:
 
     def test_bit_63_has_weight_one(self):
         assert span_weights(xor_span([1 << 63], 64)).tolist() == [0, 1]
-        batch = np.array([[1 << 63, 1]], dtype=np.uint64)
-        assert span_weights(xor_span(batch, 64)).tolist() == [[0, 1, 1, 2]]
+        batch = np.array([[1 << 63], [1]], dtype=np.uint64)
+        assert span_weights(xor_span(batch, 64)).tolist() == [[0], [1], [1], [2]]
         # columns 0 and 63 both switched on by window bit 0
         tubes = np.array([[1] + [0] * 62 + [1]])
-        assert _tube_weights(tubes, 1).tolist() == [[0, 2]]
+        assert span_weights(xor_span(_stacked_rows(tubes, 1).T, 64)).tolist() == [[0], [2]]
 
 
 class TestLazyNumpy:

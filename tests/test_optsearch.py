@@ -340,15 +340,29 @@ def test_orbit_chunks_cover_every_multiset_in_order():
         assert got == list(itertools.combinations_with_replacement(range(values), n))
 
 
-@pytest.mark.parametrize("n, k, delta", [(3, 1, 2), (4, 2, 1), (3, 3, 0), (2, 2, 2)])
+SPACES = [(3, 1, 2), (4, 2, 1), (3, 3, 0), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("n, k, delta", SPACES)
+def test_stacked_rows_are_the_transposed_tubes(n, k, delta):
+    height = k * (delta + 1)
+    (tubes,) = optsearch._orbit_chunks(1 << height, n, 1 << 20)
+    want = [transpose(row, height) for row in tubes.tolist()]
+    assert optsearch._stacked_rows(tubes, height).tolist() == want
+
+
+@pytest.mark.parametrize("n, k, delta", SPACES)
 def test_space_filter_matches_the_predicates(n, k, delta):
     """The batch delay-free test and the degree test on every orbit, against
     the predicates run on each orbit's representative."""
-    (tubes,) = optsearch._orbit_chunks(1 << (k * (delta + 1)), n, 1 << 20)
-    codes = [optsearch._code_from_tubes(n, k, delta, row) for row in tubes]
+    height = k * (delta + 1)
+    (tubes,) = optsearch._orbit_chunks(1 << height, n, 1 << 20)
+    stacks = [transpose(row, height) for row in tubes.tolist()]
+    codes = [convcode._stacked_code(stack, n, k, delta) for stack in stacks]
     delay_free = [is_delay_free(c) for c in codes]
     want = [free and internal_degree(c) == delta for free, c in zip(delay_free, codes)]
-    assert optsearch._in_space(tubes, k, delta).tolist() == want
+    rows = optsearch._stacked_rows(tubes, height)
+    assert optsearch._in_space(rows, n, k, delta).tolist() == want
     # each test refuses some orbits; at delta = 0 every delay-free one passes
     assert any(want) and not all(delay_free) and (want != delay_free or delta == 0)
 

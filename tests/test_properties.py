@@ -14,6 +14,7 @@ from convdist.cli import code_to_json_dict, format_code_file, parse_code_file
 from convdist.convcode import (
     ConvCode,
     _min_weights,
+    _stacked_code,
     column_distances_exhaustive,
     column_distances_trellis,
     free_distance,
@@ -22,8 +23,8 @@ from convdist.convcode import (
     is_noncatastrophic,
     row_weight_bounds,
 )
-from convdist.gf2core import BitMatrix
-from convdist.optsearch import _code_from_tubes, _tube_weights
+from convdist.gf2core import BitMatrix, span_weights, transpose, xor_span
+from convdist.optsearch import _stacked_rows
 from poly_oracle import PolyMatrix, k_minors, poly_gcd
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -129,12 +130,13 @@ def tube_batches(draw):
 @given(tube_batches())
 def test_batch_kernel_matches_trellis(case):
     n, k, delta, jmax, batch = case
-    codes = [_code_from_tubes(n, k, delta, tubes) for tubes in batch]
+    height = k * (delta + 1)
+    codes = [_stacked_code(transpose(tubes, height), n, k, delta) for tubes in batch]
     keep = [is_delay_free(c) for c in codes]
     assume(any(keep))
     tubes = np.array([t for t, ok in zip(batch, keep) if ok], dtype=np.int64)
-    tables = _tube_weights(tubes, k * (min(jmax, delta) + 1))
-    profiles = _min_weights(tables, k, jmax)
+    rows = _stacked_rows(tubes, height)[:, : k * (min(jmax, delta) + 1)]
+    profiles = _min_weights(span_weights(xor_span(rows.T, n), np.uint8), k, jmax)
     for code, profile in zip([c for c, ok in zip(codes, keep) if ok], profiles):
         assert [int(d) for d in profile] == column_distances_trellis(code, jmax)
 

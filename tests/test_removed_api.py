@@ -23,6 +23,9 @@ REMOVED = {
         "best_profile_bruteforce",
         "codes_equivalent_by_column_permutation",
         "_padded_tubes",
+        "_code_from_tubes",
+        "_tube_weights",
+        "_window_rows",
     ],
     "gf2core": ["vec_mat_mul", "weight"],
 }
