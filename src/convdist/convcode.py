@@ -35,9 +35,9 @@ MESSAGE_GUARD_BITS = 30
 # such steps.
 STEP_WORK_GUARD = 1 << 28
 _STEP_FLOOR_BITS = 12
-# Largest work array in flight, in entries: a piece of message prefixes in
-# `_min_weights`, a batch of orbits in the brute force, and a piece of
-# candidate columns in the k > 1 extension.
+# Largest work array in flight, in entries: the levels of a piece of message
+# prefixes in `_min_weights`, a batch of orbits in the brute force, and a
+# piece of candidate columns in the k > 1 extension.
 _CHUNK_BITS = 22
 # Unreached states sit at _INF.  The state tables hold int32 path weights,
 # which are exact while _INF + n * (j + 1) < 2^31, that is for every d_j
@@ -184,19 +184,15 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
 
 def _add_periodic(out: np.ndarray, table: np.ndarray, start: int) -> None:
     """out[x] += table[(start + x) mod p] in place, for p = len(table) a power
-    of two: one slice add when no wrap falls inside out, else three, for the
-    head up to the next multiple of p, the whole periods and the tail."""
+    of two, where out either stays inside one period or starts at a multiple
+    of p and spans whole periods: one slice add, or one add of every period."""
     period, length = len(table), len(out)
     off = start & (period - 1)
     if off + length <= period:
         out += table[off : off + length]
-        return
-    head = -off & (period - 1)
-    out[:head] += table[period - head :]
-    body = (length - head) // period * period
-    periods = out[head : head + body].reshape(-1, *table.shape)  # a view
-    periods += table
-    out[head + body :] += table[: length - head - body]
+    else:
+        periods = out.reshape(-1, *table.shape)  # a view
+        periods += table
 
 
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
@@ -208,44 +204,64 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     is an int with u_0 in its top block, so the 2^k children of prefix p are
     p * 2^k + u_{j+1}, and the window of a prefix is its low bits.  The
     windows of a run of consecutive children are therefore the table read
-    cyclically: one slice of it while the children stay below its size, and
-    whole periods of it once they pass it.  The children's weights are
-    their parents' weights, each repeated 2^k times, plus that run; no index
-    array is built and nothing is gathered.  Prefixes are expanded depth
-    first, in pieces of at most 2^_CHUNK_BITS entries.  The last level is
-    never built: for windows of D + 1 blocks, d_jmax is the least parent
-    weight plus rowmin[p mod 2^(kD)], the lightest last block of p's
-    children's windows.
-
-    Tables and work arrays hold the batch innermost, as `xor_span` fills
-    a batch of spans, so each add runs over whole batches.
+    cyclically: one slice of it, or whole periods of it.  Their weights are
+    their parents' weights, each written 2^k times, plus that run; no index
+    array is built and nothing is gathered.  A piece, a run of prefixes, is
+    expanded level by level into one array, and one reduceat at the level
+    starts gives its distances.  The last level is never built: for windows
+    of D + 1 blocks, d_jmax is the least parent weight plus rowmin[p mod
+    2^(kD)], the lightest last block of p's children's windows.  A run whose
+    levels would pass 2^_CHUNK_BITS entries is grown one level, one parent's
+    children at a time, so each run is level 0 or the descendants of one
+    prefix, aligned to the table's period.  All arrays hold the batch
+    innermost, as `xor_span` fills a batch of spans.
     """
     size, batch = tables.shape
-    dtype = np.min_scalar_type(int(tables.max()) * (jmax + 1))
+    bound = int(tables.max()) * (jmax + 1)  # no prefix weighs more
+    dtype = np.min_scalar_type(bound)
     tables = np.ascontiguousarray(tables, dtype=dtype)
-    rowmin = tables.reshape(size >> k, 1 << k, batch).min(axis=1)
-    dist = np.full((batch, jmax + 1), np.iinfo(dtype).max, dtype=dtype)
-    piece = max(1, ((1 << _CHUNK_BITS) >> k) // batch)
-
-    def expand(cum, first, j):
-        """cum[x] is the weight of prefix first + x, of length j + 1, in
-        each code of the batch; cum is this call's own array."""
-        np.minimum(dist[:, j], cum.min(axis=0), out=dist[:, j])
-        if j + 1 == jmax:
-            _add_periodic(cum, rowmin, first)
-            np.minimum(dist[:, jmax], cum.min(axis=0), out=dist[:, jmax])
-            return
-        for start in range(0, len(cum), piece):
-            child = (first + start) << k
-            grown = np.repeat(cum[start : start + piece], 1 << k, axis=0)
-            _add_periodic(grown, tables, child)
-            expand(grown, child, j + 1)
-
-    level0 = tables[1 : 1 << k].copy()
+    rowmin = np.minimum.reduce(tables.reshape(size >> k, 1 << k, batch), axis=1)
+    dist = np.full((batch, jmax + 1), bound, dtype=dtype)
     if jmax == 0:
-        dist[:, 0] = level0.min(axis=0)
-    else:
-        expand(level0, 1, 0)
+        dist[:, 0] = tables[1 : 1 << k].min(axis=0)
+        return dist
+    budget = max(1 << k, (1 << _CHUNK_BITS) // batch)  # per code; one parent always fits
+
+    def levels(j):  # entries of levels j..jmax-1 under one prefix of level j
+        return ((1 << k * (jmax - j)) - 1) // ((1 << k) - 1)
+
+    def grow(out, parents, first):
+        """out[x] = the weight of prefix first + x, a child of parents[x >> k]."""
+        children = out.reshape(len(parents), 1 << k, batch)
+        for u in range(1 << k):  # at batch 1 a broadcast copies 2^k entries per inner loop
+            children[:, u] = parents
+        _add_periodic(out, tables, first)
+        return out
+
+    def take(run, first, j):
+        """d_j..d_jmax under `run`, the weights of prefixes first.. of level j."""
+        count = len(run)
+        if count * levels(j) > budget:
+            np.minimum(dist[:, j], run.min(axis=0), out=dist[:, j])
+            for x in range(count):
+                child = np.empty((1 << k, batch), dtype)
+                take(grow(child, run[x : x + 1], (first + x) << k), (first + x) << k, j + 1)
+            return
+        work = np.empty((count * levels(j), batch), dtype)
+        work[:count] = run
+        starts = [0]
+        for _ in range(j, jmax - 1):
+            parents = work[starts[-1] : starts[-1] + count]
+            starts.append(starts[-1] + count)
+            count, first = count << k, first << k
+            grow(work[starts[-1] : starts[-1] + count], parents, first)
+        least = np.minimum.reduceat(work, starts, axis=0)
+        np.minimum(dist[:, j:jmax], least.T, out=dist[:, j:jmax])
+        last = work[starts[-1] :]
+        _add_periodic(last, rowmin, first)
+        np.minimum(dist[:, jmax], last.min(axis=0), out=dist[:, jmax])
+
+    take(tables[1 : 1 << k], 1, 0)
     return dist
 
 
@@ -578,9 +594,7 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     # hence the max.
     weights = ([row.bit_count() for row in g.row_bits] for g in c.coeffs)
     upper = [min(s) for s in accumulate(weights, lambda a, b: [x + y for x, y in zip(a, b)])]
-    reach = max(c.delta, c.mu)
-    return BoundReport(
-        lower=tuple([lower[min(j, c.mu)] for j in range(jmax + 1)]),
-        upper=tuple([upper[min(j, c.mu)] for j in range(jmax + 1)]),
-        cap=tuple([c.n * (min(j, reach) + 1) for j in range(jmax + 1)]),
-    )
+    cap = [c.n * (i + 1) for i in range(min(jmax, max(c.delta, c.mu)) + 1)]
+    # entry j of each bound is entry min(j, len - 1) of its per-i list
+    held = [tuple(v[: jmax + 1] + v[-1:] * (jmax + 1 - len(v))) for v in (lower, upper, cap)]
+    return BoundReport(*held)

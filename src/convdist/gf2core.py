@@ -212,15 +212,15 @@ def xor_span(rows, n: int) -> np.ndarray:
     """Entry i is the XOR of the n-bit `rows` selected by the bits of i, as
     little-endian uint64 words: shape (2^len(rows), ceil(n / 64)).  An
     integer array of shape (r, batch), n <= 64, row i of every batch entry
-    in rows[i], gives one span per batch entry with the batch innermost,
-    so that each XOR runs over the whole batch: shape (2^r, batch, 1)."""
+    in rows[i], gives one span per batch entry, batch innermost so each XOR
+    runs over the whole batch: (2^r, batch, 1) of the narrowest uint for n."""
     if isinstance(rows, np.ndarray):
-        rows = rows.astype(np.uint64, order="C")[..., None]
+        rows = rows.astype(np.min_scalar_type((1 << n) - 1), order="C")[..., None]
     else:
         shifts = range(0, max(64, n), 64)
         rows = np.array([[(r >> s) & _WORD_MASK for s in shifts] for r in rows], dtype=np.uint64)
         rows = rows.reshape(-1, len(shifts))
-    span = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=np.uint64)
+    span = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
     for i, row in enumerate(rows):
         half = 1 << i
         np.bitwise_xor(span[:half], row, out=span[half : 2 * half])

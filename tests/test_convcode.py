@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -525,10 +526,13 @@ def scalar_min_weights(table, k, jmax):
     return dist
 
 
-@pytest.mark.parametrize("chunk_bits", [3, 5, 22])
+@pytest.mark.parametrize("chunk_bits", [3, 4, 5, 22])
 def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
     """Random window tables, not only tables of codes.  At 2^3 entries a
-    piece stays inside one period of the table, at 2^22 it spans many."""
+    piece stays inside one period of the table, at 2^22 it spans many.  At
+    2^4, three k = 1 draws put a run's levels one entry past the budget; at
+    2^5, two k = 1 draws fill it exactly.  `test_min_weights_at_the_piece_budget`
+    pins both cases for k = 1, 2 and 3."""
     from convdist.gf2core import np
 
     monkeypatch.setattr(convcode, "_CHUNK_BITS", chunk_bits)
@@ -551,3 +555,45 @@ def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
                 assert given.T.tolist() == tables
                 cases += 1
     assert cases == 4 * (8 + 7 + 5)
+
+
+@pytest.mark.parametrize(
+    "k, jmax, chunk_bits, batch, spare",
+    [(1, 3, 6, 9, 0), (1, 3, 5, 5, -1), (2, 2, 8, 17, 0), (2, 2, 7, 9, -1),
+     (3, 2, 12, 65, 0), (3, 2, 11, 33, -1)],
+)
+def test_min_weights_at_the_piece_budget(monkeypatch, k, jmax, chunk_bits, batch, spare):
+    """The levels under the first run, 2^(k jmax) - 1 entries per code, fill
+    the budget of 2^chunk_bits // batch entries per code exactly (spare 0),
+    or pass it by one entry (spare -1), so that the run is grown one level
+    in pieces."""
+    from convdist.gf2core import np
+
+    assert (1 << chunk_bits) // batch - ((1 << k * jmax) - 1) == spare
+    monkeypatch.setattr(convcode, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(chunk_bits)
+    for depth in range(jmax + 1):
+        tables = [[rng.randrange(300) for _ in range(1 << (k * (depth + 1)))]
+                  for _ in range(batch)]
+        got = convcode._min_weights(np.array(tables).T, k, jmax)
+        assert got.tolist() == [scalar_min_weights(t, k, jmax) for t in tables], depth
+
+
+@pytest.mark.parametrize("params, jmax", [((2, 1, 2), 23), ((5, 1, 3), 25), ((3, 2, 1), 12),
+                                          ((4, 3, 1), 8)])
+def test_exhaustive_memory_stays_in_pieces(params, jmax):
+    """Near the exhaustion guard the kernel holds one piece of at most
+    2^_CHUNK_BITS entries at a time, 2^22 bytes of uint8 weights here, so
+    its peak stays within 6 * 2^22 bytes."""
+    from convdist.gf2core import np
+
+    code, _ = construct(*params)
+    np.zeros(1)  # numpy itself loads outside the trace
+    tracemalloc.start()
+    try:
+        got = column_distances_exhaustive(code, jmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == column_distances_trellis(code, jmax)
+    assert peak <= 6 << 22, peak

@@ -175,6 +175,17 @@ class TestXorSpan:
                         expected[u] ^= row
             assert span[:, b, 0].tolist() == expected
 
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+    def test_batched_span_takes_the_narrowest_words(self, n):
+        rng = random.Random(n)
+        # the top bit in every set, so that a word one type too narrow loses it
+        rows = [[rng.getrandbits(n) for _ in range(4)] + [1 << (n - 1)] for _ in range(3)]
+        span = xor_span(np.array(rows, dtype=np.uint64).T, n)
+        assert span.dtype == np.min_scalar_type((1 << n) - 1)
+        for b, batch_rows in enumerate(rows):
+            want = span_weights(xor_span(batch_rows, n))
+            assert span_weights(span[:, b]).tolist() == want.tolist()
+
     @pytest.mark.parametrize("n", [63, 64, 65, 130])
     def test_block_code_weights_at_word_boundaries(self, n):
         rng = random.Random(n)
