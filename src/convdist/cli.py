@@ -2,6 +2,10 @@
 
 Exit codes: 0 success/verified, 1 usage or resource error, 2 verification
 failure, 3 inconclusive tie at the search horizon.
+
+Every subcommand but `construct`, which writes a code file, returns (exit
+status, report, text lines); `main` prints the report as one JSON line under
+--json, else the lines unless --quiet.
 """
 
 from __future__ import annotations
@@ -107,25 +111,30 @@ def parse_code_file(text: str) -> cc.ConvCode:
     return code
 
 
-def _emit_json(d: dict) -> None:
-    print(json.dumps(d, sort_keys=True, separators=(",", ":")))
+# compact, byte-stable JSON
+_JSON = {"sort_keys": True, "separators": (",", ":")}
+
+
+def _read_code(path: str) -> cc.ConvCode:
+    with open(path) as fh:
+        return parse_code_file(fh.read())
+
+
+def _key_lines(report: dict) -> list:
+    """One `key: value` line per entry, with booleans in lower case."""
+    return [f"{k}: {str(v).lower() if isinstance(v, bool) else v}" for k, v in report.items()]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     code, provenance = build_code(args.n, args.k, args.delta)
     # the file holds (mu+1)*k rows of n characters, of 8 bits each
     guard_table((len(code.coeffs) * code.k - 1).bit_length(), 8 * code.n, "code-file text")
     if args.json:
-        payload = json.dumps(
-            code_to_json_dict(code, provenance=provenance),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        text = payload + "\n"
+        text = json.dumps(code_to_json_dict(code, provenance=provenance), **_JSON) + "\n"
     else:
         text = format_code_file(code, comments=[f"construction: {provenance}"])
     if args.out:
@@ -135,7 +144,7 @@ def cmd_construct(args) -> int:
         sys.stdout.write(text)
     if not args.quiet:
         print(f"construction: {provenance}", file=sys.stderr)
-    return 0
+    return 0, None, []
 
 
 def _flags(code: cc.ConvCode, external: int) -> dict:
@@ -183,25 +192,22 @@ def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
     return report
 
 
-def cmd_profile(args) -> int:
-    with open(args.infile) as fh:
-        code = parse_code_file(fh.read())
+def cmd_profile(args):
+    code = _read_code(args.infile)
     jmax = args.jmax if args.jmax is not None else code.delta + 5
     report = _profile_report(code, jmax, args.free)
-    if args.json:
-        _emit_json(report)
-    elif not args.quiet:
-        print(f"(n,k,delta) = ({code.n},{code.k},{code.delta})")
-        print("j    : " + " ".join(f"{j:4d}" for j in range(jmax + 1)))
-        print("d_j^c: " + " ".join(f"{v:4d}" for v in report["profile"]))
-        if report["free_distance"] is not None:
-            print(f"free distance: {report['free_distance']}")
-    return 0
+    lines = [
+        f"(n,k,delta) = ({code.n},{code.k},{code.delta})",
+        "j    : " + " ".join(f"{j:4d}" for j in range(jmax + 1)),
+        "d_j^c: " + " ".join(f"{v:4d}" for v in report["profile"]),
+    ]
+    if report["free_distance"] is not None:
+        lines.append(f"free distance: {report['free_distance']}")
+    return 0, report, lines
 
 
-def cmd_check(args) -> int:
-    with open(args.infile) as fh:
-        code = parse_code_file(fh.read())
+def cmd_check(args):
+    code = _read_code(args.infile)
     degrees = cc.row_degrees(code)
     external = sum(degrees)
     flags = _flags(code, external)
@@ -214,15 +220,10 @@ def cmd_check(args) -> int:
         "internal_degree": code.delta,
         **flags,
     }
-    if args.json:
-        _emit_json(info)
-    elif not args.quiet:
-        for key, val in info.items():
-            print(f"{key}: {str(val).lower() if isinstance(val, bool) else val}")
-    return 0 if flags["delay_free"] and flags["noncatastrophic"] else 2
+    return (0 if flags["delay_free"] and flags["noncatastrophic"] else 2), info, _key_lines(info)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     if args.n <= args.k or args.k < 1:
         raise ValueError("bounds need n > k >= 1")
     if args.delta < 0:
@@ -238,79 +239,53 @@ def cmd_bounds(args) -> int:
         "column_bounds": [cc.column_bound(args.n, args.k, j) for j in range(jmax + 1)],
     }
     if args.infile:
-        with open(args.infile) as fh:
-            code = parse_code_file(fh.read())
+        code = _read_code(args.infile)
         if (code.n, code.k, code.delta) != (args.n, args.k, args.delta):
             raise ValueError("code file parameters do not match the arguments")
         rep = cc.row_weight_bounds(code, jmax)
         out["weight_lower"] = list(rep.lower)
         out["weight_upper"] = list(rep.upper)
         out["weight_cap"] = list(rep.cap)
-    if args.json:
-        _emit_json(out)
-    elif not args.quiet:
-        for key, val in out.items():
-            print(f"{key}: {val}")
-    return 0
+    return 0, out, _key_lines(out)
 
 
-def cmd_verify_optimal(args) -> int:
+def cmd_verify_optimal(args):
     if (args.infile is None) == (args.params is None):
         raise ValueError("give either a code file or --params n k delta")
     if args.infile:
-        with open(args.infile) as fh:
-            code = parse_code_file(fh.read())
+        code = _read_code(args.infile)
     else:
         n, k, delta = args.params
         opt.price_search(n, k, delta, delta + 5 if args.horizon is None else args.horizon)
         code, _ = build_code(n, k, delta)
     verdict = opt.verify_optimal(code, args.horizon)
-    if args.json:
-        _emit_json(
-            {
-                "optimal": verdict.optimal,
-                "optimal_through_delta": verdict.optimal_through_delta,
-                "horizon": verdict.horizon,
-                "tie_at_horizon": verdict.ties_at_horizon,
-                "witness": None
-                if verdict.witness is None
-                else code_to_json_dict(verdict.witness),
-            }
-        )
-    elif not args.quiet:
-        claim = "optimal" if verdict.optimal_through_delta else "not optimal"
-        print(f"{claim} through delta = {code.delta} (d_0..d_{code.delta})")
-        if not verdict.optimal:
-            print("not optimal; a better code to this horizon:")
-            sys.stdout.write(format_code_file(verdict.witness))
-        elif verdict.ties_at_horizon:
-            print(f"optimal up to horizon {verdict.horizon}, with ties")
-        else:
-            print(f"optimal up to horizon {verdict.horizon} (unique up to column permutation)")
+    report = {
+        "optimal": verdict.optimal,
+        "optimal_through_delta": verdict.optimal_through_delta,
+        "horizon": verdict.horizon,
+        "tie_at_horizon": verdict.ties_at_horizon,
+        "witness": None if verdict.witness is None else code_to_json_dict(verdict.witness),
+    }
+    claim = "optimal" if verdict.optimal_through_delta else "not optimal"
+    lines = [f"{claim} through delta = {code.delta} (d_0..d_{code.delta})"]
     if not verdict.optimal:
-        return 2
-    return 3 if verdict.ties_at_horizon else 0
+        lines.append("not optimal; a better code to this horizon:")
+        return 2, report, lines + format_code_file(verdict.witness).splitlines()
+    if verdict.ties_at_horizon:
+        return 3, report, lines + [f"optimal up to horizon {verdict.horizon}, with ties"]
+    lines.append(f"optimal up to horizon {verdict.horizon} (unique up to column permutation)")
+    return 0, report, lines
 
 
-# ---------------------------------------------------------------------------
-# Table reproduction
-
-
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args):
     recompute, expected = REFERENCE_TABLES[args.table]
     got = recompute()
-    ok = got == expected
-    if args.json:
-        _emit_json({"table": args.table, "match": ok})
-    elif not args.quiet:
-        print(f"{args.table}: {got}")
-    if not ok:
+    report, lines = {"table": args.table, "match": got == expected}, [f"{args.table}: {got}"]
+    if got != expected:
         if not args.quiet:
             print(f"MISMATCH: got {got!r}, expected {expected!r}", file=sys.stderr)
-        return 2
-    if not args.quiet and not args.json:
-        print(f"{args.table}: reproduced")
-    return 0
+        return 2, report, lines
+    return 0, report, lines + [f"{args.table}: reproduced"]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +346,12 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        status, report, lines = args.func(args)
+        if args.json and report is not None:
+            print(json.dumps(report, **_JSON))
+        elif lines and not args.quiet:
+            print("\n".join(lines))
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

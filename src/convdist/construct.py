@@ -131,8 +131,9 @@ _DELTA2_CASES = {
 } | DELTA2_S3_EXPECTED
 
 # `reproduce` table -> (recompute, expected): the table is reproduced when
-# recompute() == expected.  opt-rows-d4 searches all 2^16 candidate rows at
-# dimension 5 for each of the 8 optimal dimension-3 rows, 64 codes in total.
+# recompute() == expected.  opt-rows-d4 searches the 2^16 candidate rows at
+# dimension 5, extending only the surviving best prefixes bit by bit, for
+# each of the 8 optimal dimension-3 rows, 64 codes in total.
 REFERENCE_TABLES = {
     "ws3": (
         lambda: search_optimal_row(m_fold(partial_simplex(3), 2)).profile[:7],
@@ -194,10 +195,9 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
 
 
 def predicted_profile_rate_1_n(n: int, delta: int, jmax: int) -> DistanceProfile:
-    """Closed-form profile n + min(j, delta)*n/2 with free distance n + delta*n/2."""
-    if n < 1 or n % (1 << delta):
-        raise ValueError(f"n={n} is not a positive multiple of 2^{delta}")
-    values = tuple([n + min(j, delta) * (n // 2) for j in range(jmax + 1)])
+    """The k = 1 case of `predicted_profile_k_dim`, n + min(j, delta)*n/2,
+    with free distance n + delta*n/2."""
+    values = predicted_profile_k_dim(n, 1, delta, jmax).values
     return DistanceProfile(values, n + delta * (n // 2), "formula")
 
 

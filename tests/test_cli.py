@@ -470,3 +470,30 @@ class TestReproduceAndUsage:
     def test_help_exits_zero(self, capsys):
         rc, _, _ = run(capsys, "--help")
         assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "{code}", "--free"],
+        ["check", "{code}"],
+        ["bounds", "5", "1", "2", "--in", "{code}"],
+        ["verify-optimal", "{code}"],
+        ["reproduce", "ws3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_report_prints_once_per_mode(tmp_path, capsys, argv):
+    # the (5,1,2) construction loses at j = 4, so verify-optimal exits 2
+    path = tmp_path / "c.txt"
+    run(capsys, "construct", "5", "1", "2", "--out", str(path), "--quiet")
+    argv = [arg.format(code=path) for arg in argv]
+    rc, out, _ = run(capsys, *argv)
+    assert out
+    for mode in (["--json"], ["--json", "--quiet"]):
+        rc_json, out, _ = run(capsys, *argv, *mode)
+        assert rc_json == rc
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)
+    rc_quiet, out, _ = run(capsys, *argv, "--quiet")
+    assert rc_quiet == rc and out == ""
