@@ -4,6 +4,8 @@
     python3 scripts/bench_pair.py --parent REV --tag TAG --seconds S \\
         [--first-seed N] WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
 
+Every WORKLOAD must be named in BENCHMARK.json and every PAIRS be at
+least 1; a malformed item is a usage error (exit 2) before anything runs.
 The parent and HEAD are exported with `git archive` into temporary
 directories.  Pair i of a workload runs the unmodified perfbench/run.py of
 each on seed first-seed + i; the side that runs first alternates.
@@ -87,15 +89,29 @@ def summary(runs, metrics):
     return out
 
 
+def plan_item(workloads):
+    """argparse type of one WORKLOAD:PAIRS item: a workload of
+    BENCHMARK.json and a pair count of at least 1."""
+    def parse(item):
+        workload, _, pairs = item.partition(":")
+        if workload not in workloads or not pairs.isdigit() or int(pairs) < 1:
+            raise argparse.ArgumentTypeError(
+                f"{item!r} is not WORKLOAD:PAIRS with WORKLOAD in {', '.join(workloads)} and PAIRS >= 1")
+        return workload, int(pairs)
+    return parse
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--tag", required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    p.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS", type=plan_item(workloads))
     args = p.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = bench["end_to_end"]
     commits = dict(zip(SIDES, rev_parse(args.parent + "^{commit}", "HEAD^{commit}")))
     src_trees = dict(zip(SIDES, rev_parse(*(c + ":src" for c in commits.values()))))
     doc = {**commits, "src_trees": src_trees, "seconds": args.seconds, "workloads": {}}
@@ -104,10 +120,9 @@ def main(argv=None):
         for side, tree in trees.items():
             subprocess.run(["git", "archive", "-o", f"{tree}.tar", commits[side]], cwd=ROOT, check=True)
             shutil.unpack_archive(f"{tree}.tar", tree)
-        for item in args.plan:
-            workload, pairs = item.split(":")
+        for workload, pairs in args.plan:
             runs = []
-            for i in range(int(pairs)):
+            for i in range(pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {side: run(trees[side], workload, args.first_seed + i, args.seconds) for side in order}
                 runs.append({"first": order[0], **pair})

@@ -19,7 +19,6 @@ This module also holds the reference tables of the paper, and in
 from __future__ import annotations
 
 from .convcode import (
-    _CHUNK_BITS,
     ConvCode,
     DistanceProfile,
     _internal_degree,
@@ -28,7 +27,7 @@ from .convcode import (
     free_distance,
     is_noncatastrophic,
 )
-from .gf2core import BitMatrix, guard_table, hstack, np, transpose
+from .gf2core import BitMatrix, guard_table, hstack, np, transpose, xor_span
 from .optsearch import search_optimal_row
 from .simplex import canonical_stack, m_fold, partial_simplex
 
@@ -240,9 +239,11 @@ def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile
 # ---------------------------------------------------------------------------
 # Dimension k > 1
 
-# Largest k > 1 extension search `construct` takes on, counted as r extra
-# columns * 2^delta*(2^k-1) candidates * 2^(delta+k) messages per trial;
-# about a second of work.
+# Largest k > 1 extension `construct` takes on, priced as r extra columns
+# * 2^delta*(2^k-1) candidates * 2^(delta+k) messages: the work of scoring
+# every candidate against every message at each column.  The search below
+# reads one span instead, but the price stays, so that the same
+# (n, k, delta) are built and refused.
 EXTENSION_SEARCH_GUARD = 1 << 26
 
 
@@ -263,9 +264,12 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
 
     Each column maximizes, in turn, the minimum weight of the block code
     generated by the residual columns chosen so far (ties go to the
-    smallest canonical column index).  Optimal only up to this search rule.
-    A search predicted to cost more than EXTENSION_SEARCH_GUARD is refused
-    before it starts.
+    smallest canonical column index).  One more column raises that minimum
+    by at most one, and exactly when every lightest codeword is 1 on it, so
+    each step takes the first free column in the AND of the lightest
+    codewords, else the first free column.  Optimal only up to this search
+    rule.  A search priced above EXTENSION_SEARCH_GUARD is refused before
+    it starts.
     """
     base_len = (1 << delta) * ((1 << k) - 1)
     cost = (r * base_len) << (delta + k)
@@ -273,25 +277,21 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
         raise ValueError(
             f"extension search of {cost} candidate messages exceeds the guard"
         )
-    msg_type = np.min_scalar_type((1 << (delta + k)) - 1)
-    messages = np.arange(1, 1 << (delta + k), dtype=msg_type)
-    # canonical column j, with row i at bit i
-    pool = np.array(transpose(canonical_stack(k, delta, base_len).row_bits, base_len), msg_type)
-    free = np.ones(len(pool), dtype=bool)
-    # weight[u]: weight of message u's codeword on the columns chosen so far
-    weight = np.zeros(len(messages), dtype=np.min_scalar_type(r))
-    piece = max(1, (1 << _CHUNK_BITS) // len(messages))  # candidates scored at once
+    stack = canonical_stack(k, delta, base_len)
+    columns = transpose(stack.row_bits, base_len)  # column j, row i at bit i
+    # span[u - 1]: the codeword of message u on every canonical column
+    span = xor_span(stack.row_bits, base_len)[1:]
+    # weight[u - 1]: its weight on the columns chosen so far
+    weight = np.zeros(len(span), dtype=np.min_scalar_type(r))
+    free = (1 << base_len) - 1
     chosen = []
     for _ in range(r):
-        cands = np.flatnonzero(free)
-        score = np.concatenate([
-            (weight[:, None] + (np.bitwise_count(messages[:, None] & pool[part]) & 1)).min(axis=0)
-            for part in np.split(cands, range(piece, len(cands), piece))
-        ])
-        best = cands[np.argmax(score)]  # ties go to the smallest index
-        free[best] = False
-        weight += np.bitwise_count(messages & pool[best]) & 1
-        chosen.append(int(pool[best]))
+        lightest = np.bitwise_and.reduce(span[weight == weight.min()])
+        cands = int.from_bytes(lightest.astype("<u8").tobytes(), "little") & free or free
+        best = (cands & -cands).bit_length() - 1
+        free ^= 1 << best
+        weight += (span[:, best >> 6] >> (best & 63)) & 1
+        chosen.append(columns[best])
     return BitMatrix(r, tuple(transpose(chosen, delta + k)))
 
 

@@ -36,8 +36,7 @@ MESSAGE_GUARD_BITS = 30
 STEP_WORK_GUARD = 1 << 28
 _STEP_FLOOR_BITS = 12
 # Largest work array in flight, in entries: the levels of a piece of message
-# prefixes in `_min_weights`, a batch of orbits in the brute force, and a
-# piece of candidate columns in the k > 1 extension.
+# prefixes in `_min_weights` and a batch of orbits in the brute force.
 _CHUNK_BITS = 22
 # Unreached states sit at _INF.  The state tables hold int32 path weights,
 # which are exact while _INF + n * (j + 1) < 2^31, that is for every d_j

@@ -6,9 +6,7 @@ are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the package needs only their product and
 division.  Rows become columns through `transpose`, and ints become 0/1
 strings and back through one base-2 codec, both in linear time.  Every
-codeword-weight enumeration goes through one numpy kernel, `xor_span`,
-except the k > 1 column extension in `construct`, which scores each
-candidate column by the parity of its AND with every message.
+codeword-weight enumeration goes through one numpy kernel, `xor_span`.
 
 numpy is bound here, and only here, as `np`: the other modules import it
 from this one.  Unless numpy was already imported, it loads on the first

@@ -1,5 +1,6 @@
 """The summary of scripts/bench_pair.py on synthetic pairs of runs: the
-verdicts and the failure totals; nothing is run as a subprocess."""
+verdicts and the failure totals; and its refusal of a malformed plan.
+Nothing is run as a subprocess."""
 
 import importlib.util
 from pathlib import Path
@@ -69,3 +70,19 @@ def test_failures_are_summed_per_side():
     assert got["parent"] == {"attempted": 330, "failed": 0, "correct": True}
     assert got["change"] == {"attempted": 265, "failed": 3, "correct": False}
     assert got["wall_s"]["verdict"] == "same"
+
+
+@pytest.mark.parametrize("plan", [
+    ["bruteforce"],  # no pair count
+    ["bruteforce:0"],  # no pairs
+    ["deep_memory:1", "no_such_workload:1"],  # refused before deep_memory runs
+])
+def test_malformed_plan_is_a_usage_error(plan, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("subprocess run for a malformed plan")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--parent", "HEAD", "--tag", "t", "--seconds", "1", *plan])
+    assert exc.value.code == 2
+    assert "is not WORKLOAD:PAIRS" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -11,9 +12,11 @@ import convdist
 
 from convdist.cli import format_code_file, parse_code_file
 from convdist.construct import (
+    EXTENSION_SEARCH_GUARD,
     OPT_ROW_D3,
     _RESIDUALS,
     _expand_d4,
+    _k_dim_stack,
     binary_decomposition,
     construct,
     near_optimal_bound_profile,
@@ -31,7 +34,7 @@ from convdist.convcode import (
     is_noncatastrophic,
     is_row_reduced,
 )
-from convdist.gf2core import BitMatrix, hstack
+from convdist.gf2core import BitMatrix, hstack, transpose
 from convdist.optsearch import optimal_codes_bruteforce, wt_profile
 from convdist.simplex import canonical_stack, k_partial_simplex, m_fold, partial_simplex
 
@@ -408,9 +411,51 @@ def test_greedy_extension_matches_per_candidate_search(k):
             assert got == expected, (n, k, delta)
 
 
+def scored_extension_order(k, delta):
+    """Canonical column indices in greedy order, every free candidate scored
+    against every message: the minimum over messages of the weight so far
+    plus the parity of the message AND the candidate, ties to the first."""
+    base = (1 << delta) * ((1 << k) - 1)
+    messages = np.arange(1, 1 << (delta + k))
+    pool = np.array(transpose(canonical_stack(k, delta, base).row_bits, base))
+    free = np.ones(base, dtype=bool)
+    weight = np.zeros(len(messages), dtype=int)
+    order = []
+    for _ in range(base - 1):
+        cands = np.flatnonzero(free)
+        score = (weight[:, None] + (np.bitwise_count(messages[:, None] & pool[cands]) & 1)).min(axis=0)
+        best = cands[np.argmax(score)]
+        free[best] = False
+        weight += np.bitwise_count(messages & pool[best]) & 1
+        order.append(int(pool[best]))
+    return order
+
+
+@pytest.mark.parametrize("k, delta", [(2, 5), (2, 6), (2, 7), (3, 5), (4, 4), (5, 3)])
+def test_extension_matches_scored_search_past_delta_4(k, delta):
+    base = (1 << delta) * ((1 << k) - 1)
+    order = scored_extension_order(k, delta)
+    largest = min(base - 1, EXTENSION_SEARCH_GUARD // (base << (delta + k)))
+    for r in sorted({1, base // 2, largest}):
+        expected = BitMatrix(r, tuple(transpose(order[:r], delta + k)))
+        assert _k_dim_stack(r, k, delta) == expected, (r, k, delta)
+
+
+def test_extension_guard_refuses_before_any_span(monkeypatch):
+    # (6146, 2, 11): r = 2, priced 2 * 6144 * 2^13 > 2^26
+    def no_span(*args):
+        raise AssertionError("span built past the extension guard")
+
+    monkeypatch.setattr(importlib.import_module("convdist.construct"), "xor_span", no_span)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"extension search of \d+ .* exceeds the guard"):
+        construct(6146, 2, 11)
+    assert time.perf_counter() - start < 1
+
+
 def test_largest_admitted_extension_stays_small():
     # (6145, 2, 11), just inside EXTENSION_SEARCH_GUARD: one extra column
-    # scored over 6144 candidates x 8191 messages.  The child reads its peak
+    # read off the span of 8191 messages over 6144 canonical columns.  The child reads its peak
     # RSS from VmHWM: Linux carries the forking process's RSS into ru_maxrss
     # across exec, so ru_maxrss would report the test runner's size.
     src = os.path.dirname(os.path.dirname(convdist.__file__))
