@@ -1,4 +1,3 @@
-import importlib
 import os
 import re
 import subprocess
@@ -412,9 +411,10 @@ def test_greedy_extension_matches_per_candidate_search(k):
 
 
 def scored_extension_order(k, delta):
-    """Canonical column indices in greedy order, every free candidate scored
-    against every message: the minimum over messages of the weight so far
-    plus the parity of the message AND the candidate, ties to the first."""
+    """The canonical columns, row i at bit i, in greedy order, every free
+    candidate scored against every message: the minimum over messages of
+    the weight so far plus the parity of the message AND the candidate,
+    ties to the first."""
     base = (1 << delta) * ((1 << k) - 1)
     messages = np.arange(1, 1 << (delta + k))
     pool = np.array(transpose(canonical_stack(k, delta, base).row_bits, base))
@@ -446,7 +446,7 @@ def test_extension_guard_refuses_before_any_span(monkeypatch):
     def no_span(*args):
         raise AssertionError("span built past the extension guard")
 
-    monkeypatch.setattr(importlib.import_module("convdist.construct"), "xor_span", no_span)
+    monkeypatch.setattr(sys.modules["convdist.construct"], "xor_span", no_span)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"extension search of \d+ .* exceeds the guard"):
         construct(6146, 2, 11)
@@ -455,9 +455,10 @@ def test_extension_guard_refuses_before_any_span(monkeypatch):
 
 def test_largest_admitted_extension_stays_small():
     # (6145, 2, 11), just inside EXTENSION_SEARCH_GUARD: one extra column
-    # read off the span of 8191 messages over 6144 canonical columns.  The child reads its peak
-    # RSS from VmHWM: Linux carries the forking process's RSS into ru_maxrss
-    # across exec, so ru_maxrss would report the test runner's size.
+    # read off the span of 8191 messages over 6144 canonical columns.  The
+    # child reads its peak RSS from VmHWM: Linux carries the forking
+    # process's RSS into ru_maxrss across exec, so ru_maxrss would report
+    # the test runner's size.
     src = os.path.dirname(os.path.dirname(convdist.__file__))
     script = (
         "import convdist; convdist.construct(6145, 2, 11); "
