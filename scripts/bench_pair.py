@@ -5,7 +5,8 @@
         [--first-seed N] WORKLOAD:PAIRS [WORKLOAD:PAIRS ...]
 
 Every WORKLOAD must be named in BENCHMARK.json and every PAIRS be at
-least 1; a malformed item is a usage error (exit 2) before anything runs.
+least 1, TAG must be a plain name ([A-Za-z0-9._-]+) and REV must resolve
+to a commit; anything else is a usage error (exit 2) before anything runs.
 The parent and HEAD are exported with `git archive` into temporary
 directories.  Pair i of a workload runs the unmodified perfbench/run.py of
 each on seed first-seed + i; the side that runs first alternates.
@@ -18,6 +19,7 @@ and a verdict (see `verdict`).  Standard library only."""
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -101,10 +103,17 @@ def plan_item(workloads):
     return parse
 
 
+def plain_name(tag):
+    """argparse type of --tag, which names the file BENCH_<TAG>.json."""
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", tag):
+        raise argparse.ArgumentTypeError(f"{tag!r} is not a plain name of [A-Za-z0-9._-]")
+    return tag
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True)
-    p.add_argument("--tag", required=True)
+    p.add_argument("--tag", required=True, type=plain_name)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--first-seed", type=int, default=1)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -112,7 +121,10 @@ def main(argv=None):
     p.add_argument("plan", nargs="+", metavar="WORKLOAD:PAIRS", type=plan_item(workloads))
     args = p.parse_args(argv)
     metrics = bench["end_to_end"]
-    commits = dict(zip(SIDES, rev_parse(args.parent + "^{commit}", "HEAD^{commit}")))
+    try:
+        commits = dict(zip(SIDES, rev_parse(args.parent + "^{commit}", "HEAD^{commit}")))
+    except subprocess.CalledProcessError:
+        p.error(f"--parent {args.parent!r} does not resolve to a commit")
     src_trees = dict(zip(SIDES, rev_parse(*(c + ":src" for c in commits.values()))))
     doc = {**commits, "src_trees": src_trees, "seconds": args.seconds, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:

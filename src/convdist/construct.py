@@ -23,11 +23,12 @@ from .convcode import (
     DistanceProfile,
     _internal_degree,
     _stacked_code,
+    check_jmax,
     distance_profile,
     free_distance,
     is_noncatastrophic,
 )
-from .gf2core import BitMatrix, guard_table, hstack, np, transpose, xor_span
+from .gf2core import BitMatrix, guard_table, hstack, np, table_bits, transpose, xor_span
 from .optsearch import search_optimal_row
 from .simplex import canonical_stack, m_fold, partial_simplex
 
@@ -239,14 +240,6 @@ def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile
 # ---------------------------------------------------------------------------
 # Dimension k > 1
 
-# Largest k > 1 extension `construct` takes on, priced as r extra columns
-# * 2^delta*(2^k-1) candidates * 2^(delta+k) messages: the work of scoring
-# every candidate against every message at each column.  The search below
-# reads one span instead, but the price stays, so that the same
-# (n, k, delta) are built and refused.
-EXTENSION_SEARCH_GUARD = 1 << 26
-
-
 def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistanceProfile:
     """Closed-form profile n*2^(k-1)/(2^k-1) + min(j, floor(delta/k))*n/2."""
     base = (1 << delta) * ((1 << k) - 1)
@@ -268,15 +261,13 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
     by at most one, and exactly when every lightest codeword is 1 on it, so
     each step takes the first free column in the AND of the lightest
     codewords, else the first free column.  Optimal only up to this search
-    rule.  A search priced above EXTENSION_SEARCH_GUARD is refused before
-    it starts.
+    rule.  Before anything is built, the span is priced by the table guard
+    and the r steps by the step guard: a step ANDs at most every word of
+    the span, and the first step ANDs all of them.
     """
     base_len = (1 << delta) * ((1 << k) - 1)
-    cost = (r * base_len) << (delta + k)
-    if cost > EXTENSION_SEARCH_GUARD:
-        raise ValueError(
-            f"extension search of {cost} candidate messages exceeds the guard"
-        )
+    guard_table(delta + k, base_len, "extension span")
+    check_jmax(r - 1, table_bits(delta + k, base_len))
     stack = canonical_stack(k, delta, base_len)
     columns = transpose(stack.row_bits, base_len)  # column j, row i at bit i
     # span[u - 1]: the codeword of message u on every canonical column

@@ -32,7 +32,8 @@ MESSAGE_GUARD_BITS = 30
 # max(2^(memory + k), 2^_STEP_FLOOR_BITS) branches each.  The smallest
 # trellis step costs about 5 us, as much as 2^12 branch updates of a large
 # step (about 1 ns each), so the guard admits about a third of a second of
-# such steps.
+# such steps.  It prices the r steps of the k > 1 extension in
+# `construct._k_dim_stack` too, each as the words of its span.
 STEP_WORK_GUARD = 1 << 28
 _STEP_FLOOR_BITS = 12
 # Largest work array in flight, in entries: the levels of a piece of message

@@ -31,6 +31,9 @@ from .gf2core import (
     _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
 )
 
+# Most coefficient bits k*n*(delta+1) of a brute force.  It also keeps
+# n <= 24, which `_stacked_rows` needs: it packs each stacked row into one
+# int64 word.
 CODE_SEARCH_GUARD_BITS = 24
 # orbits x messages x steps of the largest brute force accepted
 BRUTEFORCE_WORK_GUARD = 1 << 30

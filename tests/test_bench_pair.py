@@ -1,5 +1,6 @@
 """The summary of scripts/bench_pair.py on synthetic pairs of runs: the
-verdicts and the failure totals; and its refusal of a malformed plan.
+verdicts and the failure totals; and its refusal of a malformed plan, tag
+or parent.
 Nothing is run as a subprocess."""
 
 import importlib.util
@@ -86,3 +87,33 @@ def test_malformed_plan_is_a_usage_error(plan, monkeypatch, capsys):
         bench_pair.main(["--parent", "HEAD", "--tag", "t", "--seconds", "1", *plan])
     assert exc.value.code == 2
     assert "is not WORKLOAD:PAIRS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["a/b", "", "pr 23", "../x"])
+def test_tag_that_is_not_a_plain_name_is_a_usage_error(tag, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("subprocess run for a malformed tag")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--parent", "HEAD", "--tag", tag, "--seconds", "1", "deep_memory:1"])
+    assert exc.value.code == 2
+    assert "is not a plain name" in capsys.readouterr().err
+
+
+def test_parent_that_is_not_a_commit_is_a_usage_error(monkeypatch, capsys):
+    calls = []
+
+    def git(cmd, **kwargs):
+        calls.append(cmd)
+        if cmd[:2] != ["git", "rev-parse"]:
+            raise AssertionError(f"{cmd} run for a parent that is not a commit")
+        raise bench_pair.subprocess.CalledProcessError(128, cmd)
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", git)
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--parent", "nosuchrev", "--tag", "t", "--seconds", "1", "deep_memory:1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'nosuchrev' does not resolve to a commit" in err
+    assert "Traceback" not in err and len(calls) == 1

@@ -11,7 +11,6 @@ import convdist
 
 from convdist.cli import format_code_file, parse_code_file
 from convdist.construct import (
-    EXTENSION_SEARCH_GUARD,
     OPT_ROW_D3,
     _RESIDUALS,
     _expand_d4,
@@ -25,6 +24,8 @@ from convdist.construct import (
     stack_to_code,
 )
 from convdist.convcode import (
+    STEP_WORK_GUARD,
+    _STEP_FLOOR_BITS,
     column_distances_exhaustive,
     distance_profile,
     free_distance,
@@ -33,7 +34,7 @@ from convdist.convcode import (
     is_noncatastrophic,
     is_row_reduced,
 )
-from convdist.gf2core import BitMatrix, hstack, transpose
+from convdist.gf2core import BitMatrix, hstack, table_bits, transpose
 from convdist.optsearch import optimal_codes_bruteforce, wt_profile
 from convdist.simplex import canonical_stack, k_partial_simplex, m_fold, partial_simplex
 
@@ -435,27 +436,31 @@ def scored_extension_order(k, delta):
 def test_extension_matches_scored_search_past_delta_4(k, delta):
     base = (1 << delta) * ((1 << k) - 1)
     order = scored_extension_order(k, delta)
-    largest = min(base - 1, EXTENSION_SEARCH_GUARD // (base << (delta + k)))
+    # the largest r the step guard admits: r steps over the span's words
+    largest = min(base - 1, STEP_WORK_GUARD >> max(table_bits(delta + k, base), _STEP_FLOOR_BITS))
     for r in sorted({1, base // 2, largest}):
         expected = BitMatrix(r, tuple(transpose(order[:r], delta + k)))
         assert _k_dim_stack(r, k, delta) == expected, (r, k, delta)
 
 
 def test_extension_guard_refuses_before_any_span(monkeypatch):
-    # (6146, 2, 11): r = 2, priced 2 * 6144 * 2^13 > 2^26
     def no_span(*args):
-        raise AssertionError("span built past the extension guard")
+        raise AssertionError("span built past the extension guards")
 
     monkeypatch.setattr(sys.modules["convdist.construct"], "xor_span", no_span)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"extension search of \d+ .* exceeds the guard"):
-        construct(6146, 2, 11)
+    # (24593, 2, 13): r = 17 steps over a span priced at 2^24 words, 17 * 2^24 > 2^28
+    with pytest.raises(ValueError, match=r"17 steps of 2\^24 branch updates exceed the step guard"):
+        construct(24593, 2, 13)
+    # (49153, 2, 14): 2^16 messages x 768 words, rounded up to 2^10, is 2^26 words
+    with pytest.raises(ValueError, match="26 extension span bits exceed the memory guard"):
+        construct(49153, 2, 14)
     assert time.perf_counter() - start < 1
 
 
-def test_largest_admitted_extension_stays_small():
-    # (6145, 2, 11), just inside EXTENSION_SEARCH_GUARD: one extra column
-    # read off the span of 8191 messages over 6144 canonical columns.  The
+def test_delta_11_extension_stays_small():
+    # (6145, 2, 11): one extra column read off the span of 8191 messages
+    # over 6144 canonical columns, 96 words each.  The
     # child reads its peak RSS from VmHWM: Linux carries the forking
     # process's RSS into ru_maxrss across exec, so ru_maxrss would report
     # the test runner's size.

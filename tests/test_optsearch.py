@@ -175,6 +175,14 @@ class TestBruteForce:
             optimal_codes_bruteforce(2, 1, 1, 10**9)
         assert time.monotonic() - t0 < 0.1
 
+    @pytest.mark.parametrize("n", [25, 64, 65])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_rows_past_one_word_are_refused(self, n, k, delta):
+        # `_stacked_rows` packs each stacked row into one int64 word
+        with pytest.raises(ValueError, match="coefficient choices exceed the search guard"):
+            optsearch.price_search(n, k, delta, 0)
+
     def test_k_above_n_is_refused_before_enumerating(self):
         with pytest.raises(ValueError, match="empty enumeration space"):
             optimal_codes_bruteforce(2, 3, 1, 1)
