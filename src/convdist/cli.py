@@ -105,9 +105,10 @@ def parse_code_file(text: str) -> cc.ConvCode:
     code = cc.ConvCode(n, k, coeffs, delta)
     measured = cc.internal_degree(code)
     if measured != delta:
-        raise ValueError(
-            f"declared degree {delta} does not match re-derived degree {measured}"
-        )
+        why = f"re-derived degree {measured}"
+        if measured is None:
+            why = "any degree: G(z) has rank below k"
+        raise ValueError(f"declared degree {delta} does not match {why}")
     return code
 
 
@@ -172,7 +173,6 @@ def _mdp(code: cc.ConvCode, values: tuple) -> Optional[bool]:
 
 
 def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
-    cc.check_jmax(jmax)
     profile = cc.distance_profile(code, jmax)
     flags = _flags(code, cc.external_degree(code))
     if want_free and not flags["noncatastrophic"]:

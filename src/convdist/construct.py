@@ -19,11 +19,11 @@ This module also holds the reference tables of the paper, and in
 from __future__ import annotations
 
 from .convcode import (
+    STEP_WORK_GUARD,
     ConvCode,
     DistanceProfile,
     _internal_degree,
     _stacked_code,
-    check_jmax,
     distance_profile,
     free_distance,
     is_noncatastrophic,
@@ -184,9 +184,8 @@ def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
         raise ValueError("stacked matrix must have delta+k rows")
     degree = _internal_degree(stack.row_bits, stack.cols, k)
     if degree != delta:
-        raise ValueError(
-            f"chosen columns cannot realize degree {delta}: internal degree is {degree}"
-        )
+        why = "G(z) has rank below k" if degree is None else f"internal degree is {degree}"
+        raise ValueError(f"chosen columns cannot realize degree {delta}: {why}")
     return _stacked_code(stack.row_bits, stack.cols, k, delta)
 
 
@@ -262,12 +261,16 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
     each step takes the first free column in the AND of the lightest
     codewords, else the first free column.  Optimal only up to this search
     rule.  Before anything is built, the span is priced by the table guard
-    and the r steps by the step guard: a step ANDs at most every word of
-    the span, and the first step ANDs all of them.
+    and the r steps, r times its words, by STEP_WORK_GUARD: a step ANDs at
+    most every word of the span, and the first step ANDs all of them.
     """
     base_len = (1 << delta) * ((1 << k) - 1)
     guard_table(delta + k, base_len, "extension span")
-    check_jmax(r - 1, table_bits(delta + k, base_len))
+    bits = table_bits(delta + k, base_len)
+    if r << bits > STEP_WORK_GUARD:
+        raise ValueError(
+            f"k-dim extension: {r} steps over a 2^{bits}-word span exceed the step guard"
+        )
     stack = canonical_stack(k, delta, base_len)
     columns = transpose(stack.row_bits, base_len)  # column j, row i at bit i
     # span[u - 1]: the codeword of message u on every canonical column

@@ -32,8 +32,8 @@ MESSAGE_GUARD_BITS = 30
 # max(2^(memory + k), 2^_STEP_FLOOR_BITS) branches each.  The smallest
 # trellis step costs about 5 us, as much as 2^12 branch updates of a large
 # step (about 1 ns each), so the guard admits about a third of a second of
-# such steps.  It prices the r steps of the k > 1 extension in
-# `construct._k_dim_stack` too, each as the words of its span.
+# such steps.  `construct._k_dim_stack` compares the r steps of the k > 1
+# extension, each over the words of its span, with it too.
 STEP_WORK_GUARD = 1 << 28
 _STEP_FLOOR_BITS = 12
 # Largest work array in flight, in entries: the levels of a piece of message
@@ -328,27 +328,16 @@ def _min_plus_step(cur, bw, plan, leave_zero: bool = False):
     return total.reshape(-1)
 
 
-def _trellis_refusal(c: ConvCode, jmax: int) -> Optional[str]:
-    """Why the trellis refuses d_0..d_jmax of c, from its step guard and its
-    state-table guard, or None when both admit the job.  Nothing is built."""
-    bits = external_degree(c) + c.k
-    try:
-        check_jmax(jmax, bits)
-        guard_table(bits, c.n, "state-table")
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _trellis_run(c: ConvCode, length: int):
     """c's trellis run from the zero state, extended to `length` steps if it
     is shorter, as (cur, dist); c keeps it.  cur[s], read-only, is the least
     weight of a path of the run's length from the zero state to s that starts
     with a nonzero input; dist is d_0 onwards.  The all-zero branch keeps the
     zero state's label, so cur[0] is the lightest return to it so far.  Its
-    `length` steps of the 2^(memory + k) branches of bw are priced first."""
+    `length` steps of 2^(memory + k) branches are priced first, before the
+    state tables, which `_state_tables` prices in turn, are read or built."""
+    check_jmax(length - 1, external_degree(c) + c.k)
     bw, plan = c._trellis
-    check_jmax(length - 1, bw.size.bit_length() - 1)
     if "_run" not in c.__dict__:
         start = np.full(bw.size >> c.k, _INF, dtype=np.int32)
         start[0] = 0
@@ -366,19 +355,20 @@ def column_distances_trellis(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by minimum-weight traversal of the encoder states."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
-    if refusal := _trellis_refusal(c, jmax):
-        raise ValueError(refusal)
     return _trellis_run(c, jmax + 1)[1][: jmax + 1]
 
 
 def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
-    """Column-distance profile d_0..d_jmax from the trellis when its state
-    tables and its step guard admit the job, else from the exhaustive
-    oracle, whose own guards then refuse what they cannot answer.  The
-    choice is made before any table is built."""
-    if _trellis_refusal(c, jmax) is None:
-        return DistanceProfile(tuple(column_distances_trellis(c, jmax)), None, "trellis")
-    return DistanceProfile(tuple(column_distances_exhaustive(c, jmax)), None, "exhaustive")
+    """Column-distance profile d_0..d_jmax from the trellis, or from the
+    exhaustive oracle when the trellis refuses the job, which it does before
+    anything is built.  That oracle then raises its own refusal of what it
+    cannot answer: for a non-delay-free code or a negative jmax, the same
+    refusal as the trellis."""
+    try:
+        values, method = column_distances_trellis(c, jmax), "trellis"
+    except ValueError:
+        values, method = column_distances_exhaustive(c, jmax), "exhaustive"
+    return DistanceProfile(tuple(values), None, method)
 
 
 def free_distance(c: ConvCode) -> int:

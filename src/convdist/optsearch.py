@@ -256,7 +256,10 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     price_search(c.n, c.k, c.delta, horizon)
     degree = internal_degree(c)
     if degree != c.delta:
-        raise ValueError(f"declared degree {c.delta} is not the internal degree {degree}")
+        why = f"the internal degree {degree}"
+        if degree is None:
+            why = "an internal degree: G(z) has rank below k"
+        raise ValueError(f"declared degree {c.delta} is not {why}")
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
     best, rows = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)

@@ -159,6 +159,14 @@ class TestConstructCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "guard" in err
 
+    def test_rank_deficient_stack_is_refused_in_words(self, capsys):
+        # the greedy columns of (4, 4, 1) give a G(z) of rank below k = 4,
+        # which has no internal degree
+        rc, out, err = run(capsys, "construct", "4", "4", "1")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "G(z) has rank below k" in err and "None" not in err
+
     def test_deep_rate_1_n_is_built_in_closed_form(self, capsys):
         t0 = time.monotonic()
         rc, out, _ = run(capsys, "construct", "3", "1", "40", "--quiet")
@@ -299,6 +307,15 @@ class TestCheckCommand:
         rc, out, _ = run(capsys, "check", str(path))
         assert rc == 2
         assert "noncatastrophic: false" in out
+
+
+    def test_rank_deficient_file_is_refused_in_words(self, tmp_path, capsys):
+        path = tmp_path / "rd.txt"
+        path.write_text("2 2 0\n11\n11\n")
+        rc, out, err = run(capsys, "check", str(path))
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "G(z) has rank below k" in err and "None" not in err
 
 
 class TestBoundsCommand:

@@ -450,7 +450,7 @@ def test_extension_guard_refuses_before_any_span(monkeypatch):
     monkeypatch.setattr(sys.modules["convdist.construct"], "xor_span", no_span)
     start = time.perf_counter()
     # (24593, 2, 13): r = 17 steps over a span priced at 2^24 words, 17 * 2^24 > 2^28
-    with pytest.raises(ValueError, match=r"17 steps of 2\^24 branch updates exceed the step guard"):
+    with pytest.raises(ValueError, match=r"k-dim extension: 17 steps over a 2\^24-word span exceed the step guard"):
         construct(24593, 2, 13)
     # (49153, 2, 14): 2^16 messages x 768 words, rounded up to 2^10, is 2^26 words
     with pytest.raises(ValueError, match="26 extension span bits exceed the memory guard"):

@@ -146,6 +146,33 @@ class TestDistances:
         prof = distance_profile(c, 2)
         assert prof.method == "exhaustive" and prof.values == (2, 2, 2)
 
+    def test_step_guard_precedes_the_state_tables(self, monkeypatch):
+        # with the guard cut to 2^11, even one step of 2^12 branch updates is
+        # refused, before the state tables of memory + k = 3 are built
+        c, _ = construct(4, 1, 2)
+
+        def no_tables(*args):
+            raise AssertionError("state tables built past the step guard")
+
+        monkeypatch.setattr(convcode, "STEP_WORK_GUARD", 1 << 11)
+        monkeypatch.setattr(convcode, "xor_span", no_tables)
+        with pytest.raises(ValueError, match=r"1 steps of 2\^12 branch updates exceed the step guard"):
+            free_distance(c)
+
+    @pytest.mark.parametrize(
+        "code, jmax",
+        [(ConvCode(2, 1, (BitMatrix.zeros(1, 2), BitMatrix.from_strings(["11"])), 1), 2),
+         (REP_412, -1)],
+        ids=["not-delay-free", "negative-jmax"],
+    )
+    def test_distance_profile_refuses_as_both_oracles(self, code, jmax):
+        messages = []
+        for oracle in (column_distances_trellis, column_distances_exhaustive, distance_profile):
+            with pytest.raises(ValueError) as refusal:
+                oracle(code, jmax)
+            messages.append(str(refusal.value))
+        assert len(set(messages)) == 1, messages
+
     def test_state_table_guard_counts_output_words(self, monkeypatch):
         # memory + k = 23 fits at n <= 64, but 130 columns take 3 words a state
         rows = ["1" * 130] + ["0" * 130] * 21 + ["1" + "0" * 129]

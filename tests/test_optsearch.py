@@ -232,6 +232,12 @@ class TestVerifyOptimal:
         with pytest.raises(ValueError, match="declared degree 1 is not the internal degree 2"):
             verify_optimal(code, 3)
 
+    def test_rank_deficient_code_is_refused_in_words(self):
+        code = code_from_rows(["11", "11"], k=2, delta=0)
+        assert internal_degree(code) is None
+        with pytest.raises(ValueError, match=r"degree 0 is not an internal degree: G\(z\) has rank below k$"):
+            verify_optimal(code)
+
     def test_non_row_reduced_matrix_matches_its_own_orbit(self):
         # [g1; g2 + z*g1] generates the (3, 2, 0) even-weight code, the one
         # optimal orbit; with mu = 1 > delta only its row-reduced form has
