@@ -308,7 +308,6 @@ class TestCheckCommand:
         assert rc == 2
         assert "noncatastrophic: false" in out
 
-
     def test_rank_deficient_file_is_refused_in_words(self, tmp_path, capsys):
         path = tmp_path / "rd.txt"
         path.write_text("2 2 0\n11\n11\n")
