@@ -280,7 +280,7 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
     free = (1 << base_len) - 1
     chosen = []
     for _ in range(r):
-        lightest = np.bitwise_and.reduce(span[weight == weight.min()])
+        lightest = np.bitwise_and.reduce(span, axis=0, where=(weight == weight.min())[:, None])
         cands = int.from_bytes(lightest.astype("<u8").tobytes(), "little") & free or free
         best = (cands & -cands).bit_length() - 1
         free ^= 1 << best

@@ -10,9 +10,9 @@ A `ConvCode` keeps four derived values for as long as the object lives: the
 state tables, the trellis run from the zero state (extended, never redone),
 the verdict of `is_noncatastrophic`, and the deepest window-weight table
 built so far.  The arrays are read-only.  A shallower depth reads a prefix
-of the run or of the window table, so one run serves the trellis oracle and
-the free distance, and one table the exhaustive oracle and the weight
-bounds.  Equality, hashing and repr ignore the kept values.
+of the run, or a strided view of the window table, so one run serves the
+trellis oracle and the free distance, and one table the exhaustive oracle
+and the weight bounds.  Equality, hashing and repr ignore the kept values.
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ def check_jmax(jmax: int, branch_bits: int = 0) -> None:
         raise ValueError("jmax must be >= 0")
     bits = max(branch_bits, _STEP_FLOOR_BITS)
     if (jmax + 1) << bits > STEP_WORK_GUARD:
-        raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
+        if jmax:
+            raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
+        raise ValueError(f"1 step of 2^{bits} branch updates exceeds the step guard")
 
 
 def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
@@ -164,35 +166,23 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
     """Weight of one output block as a function of the window of message
     blocks u_i, u_{i-1}, ..., u_{i-D}, D = min(jmax, mu), as a read-only array.
 
-    Window bit k*e + r is row r of u_{i-e}, which multiplies G_e; the blocks
-    before u_0 are zero, so the entries with zero high blocks serve i < D.
-    For the same reason the table of depth D is the first 2^(k(D+1))
-    entries of any deeper one: c keeps the deepest table built so far, and
-    only a deeper depth builds anew.  A window weighs at most n, so the
-    entries take the smallest unsigned type that holds n."""
+    The newest block is on top: window bit k*(D-e) + r is row r of u_{i-e},
+    which multiplies G_e.  The blocks before u_0 are zero, so the entries
+    with zero low blocks serve i < D.  For the same reason the table of
+    depth D is every 2^(k(D'-D))-th entry of one of depth D' > D: c keeps
+    the deepest table built so far, a shallower depth reads it as a strided
+    view, and only a deeper depth builds anew.  A window weighs at most n,
+    so the entries take the smallest unsigned type that holds n."""
     depth = min(jmax, c.mu)
     bits = c.k * (depth + 1)
     table = c.__dict__.get("_window_table")
     if table is None or len(table) < 1 << bits:
         guard_table(bits, c.n, "weight-table")
-        rows = [c.coeffs[e].row_bits[r] for e in range(depth + 1) for r in range(c.k)]
+        rows = [c.coeffs[e].row_bits[r] for e in range(depth, -1, -1) for r in range(c.k)]
         table = span_weights(xor_span(rows, c.n), np.min_scalar_type(c.n))
         table.flags.writeable = False
         c.__dict__["_window_table"] = table
-    return table[: 1 << bits]
-
-
-def _add_periodic(out: np.ndarray, table: np.ndarray, start: int) -> None:
-    """out[x] += table[(start + x) mod p] in place, for p = len(table) a power
-    of two, where out either stays inside one period or starts at a multiple
-    of p and spans whole periods: one slice add, or one add of every period."""
-    period, length = len(table), len(out)
-    off = start & (period - 1)
-    if off + length <= period:
-        out += table[off : off + length]
-    else:
-        periods = out.reshape(-1, *table.shape)  # a view
-        periods += table
+    return table[:: len(table) >> bits]
 
 
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
@@ -200,69 +190,76 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
 
     tables[:, b] is code b's window-weight table, as `_window_weights`
     lays it out.  Entry (b, j) of the result is the least weight of output
-    blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  A prefix
-    is an int with u_0 in its top block, so the 2^k children of prefix p are
-    p * 2^k + u_{j+1}, and the window of a prefix is its low bits.  The
-    windows of a run of consecutive children are therefore the table read
-    cyclically: one slice of it, or whole periods of it.  Their weights are
-    their parents' weights, each written 2^k times, plus that run; no index
-    array is built and nothing is gathered.  A piece, a run of prefixes, is
-    expanded level by level into one array, and one reduceat at the level
-    starts gives its distances.  The last level is never built: for windows
-    of D + 1 blocks, d_jmax is the least parent weight plus rowmin[p mod
-    2^(kD)], the lightest last block of p's children's windows.  A run whose
-    levels would pass 2^_CHUNK_BITS entries is grown one level, one parent's
-    children at a time, so each run is level 0 or the descendants of one
-    prefix, aligned to the table's period.  All arrays hold the batch
-    innermost, as `xor_span` fills a batch of spans.
+    blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  Level j
+    is laid out like the table, newest block on top (prefix p is the int
+    with u_j in its top block), so it is level j - 1 broadcast over a new
+    leading axis, u_j, plus the table at the windows u_j..u_{j-D}: a
+    strided view with the blocks before u_0 at zero while j <= D, then the
+    whole table over the inner axis of the older blocks.  One add writes a
+    level and one min gives its d_j.  The last level is never built: d_jmax
+    is the least parent weight plus rowmin, the lightest newest block of
+    each window, read the same way.  A piece (the descendants of the
+    level-0 prefixes or of one prefix, whose blocks enter the views as a
+    fixed index) whose levels would pass 2^_CHUNK_BITS entries is grown one
+    level, each child then a piece of its own.  The batch is innermost, as
+    `xor_span` fills a batch of spans.
     """
-    size, batch = tables.shape
+    batch = tables.shape[1]
     bound = int(tables.max()) * (jmax + 1)  # no prefix weighs more
     dtype = np.min_scalar_type(bound)
     tables = np.ascontiguousarray(tables, dtype=dtype)
-    rowmin = np.minimum.reduce(tables.reshape(size >> k, 1 << k, batch), axis=1)
-    dist = np.full((batch, jmax + 1), bound, dtype=dtype)
-    if jmax == 0:
-        dist[:, 0] = tables[1 : 1 << k].min(axis=0)
-        return dist
+    rowmin = np.minimum.reduce(tables.reshape(1 << k, -1, batch))
     budget = max(1 << k, (1 << _CHUNK_BITS) // batch)  # per code; one parent always fits
 
     def levels(j):  # entries of levels j..jmax-1 under one prefix of level j
         return ((1 << k * (jmax - j)) - 1) // ((1 << k) - 1)
 
-    def grow(out, parents, first):
-        """out[x] = the weight of prefix first + x, a child of parents[x >> k]."""
-        children = out.reshape(len(parents), 1 << k, batch)
-        for u in range(1 << k):  # at batch 1 a broadcast copies 2^k entries per inner loop
-            children[:, u] = parents
-        _add_periodic(out, tables, first)
-        return out
+    def read(table, f, lo, hi, j, new):
+        """`table`, over the newest blocks of a window, at the prefixes f
+        levels below the prefixes lo..hi-1 of level j, with `new` entries of
+        the newest block on the leading axis."""
+        free, bits = k * f, len(table).bit_length() - 1
+        if free >= bits:
+            return table.reshape(new, -1, 1, batch)
+        fixed = min(bits - free, k * (j + 1))  # the newest blocks of the root
+        shift = k * (j + 1) - fixed
+        view = table.reshape(new, (1 << free) // new, 1 << fixed, -1, batch)
+        return view[:, :, lo >> shift : ((hi - 1) >> shift) + 1, 0]
 
-    def take(run, first, j):
-        """d_j..d_jmax under `run`, the weights of prefixes first.. of level j."""
-        count = len(run)
-        if count * levels(j) > budget:
-            np.minimum(dist[:, j], run.min(axis=0), out=dist[:, j])
-            for x in range(count):
-                child = np.empty((1 << k, batch), dtype)
-                take(grow(child, run[x : x + 1], (first + x) << k), (first + x) << k, j + 1)
-            return
-        work = np.empty((count * levels(j), batch), dtype)
-        work[:count] = run
-        starts = [0]
-        for _ in range(j, jmax - 1):
-            parents = work[starts[-1] : starts[-1] + count]
-            starts.append(starts[-1] + count)
-            count, first = count << k, first << k
-            grow(work[starts[-1] : starts[-1] + count], parents, first)
-        least = np.minimum.reduceat(work, starts, axis=0)
-        np.minimum(dist[:, j:jmax], least.T, out=dist[:, j:jmax])
-        last = work[starts[-1] :]
-        _add_periodic(last, rowmin, first)
-        np.minimum(dist[:, jmax], last.min(axis=0), out=dist[:, jmax])
+    def take(run, lo, hi, j):
+        """Rows d_j..d_jmax over the prefixes lo..hi-1 of level j, which
+        weigh `run`, and their descendants."""
+        least = np.empty((jmax + 1 - j, batch), dtype)
+        np.minimum.reduce(run, 0, None, least[0])
+        if (hi - lo) * levels(j) > budget:
+            view = read(tables, 1, lo, hi, j, 1 << k)
+            children = np.add(run, view).reshape(-1, batch)
+            least[1:] = bound
+            for x in range(len(children)):
+                p = (x // (hi - lo)) << k * (j + 1) | lo + x % (hi - lo)
+                np.minimum(least[1:], take(children[x : x + 1], p, p + 1, j + 1), out=least[1:])
+            return least
+        work = np.empty(((hi - lo) * levels(j), batch), dtype)
+        start, count = 0, hi - lo
+        level = work[:count]
+        level[...] = run
+        for f in range(1, jmax - j):
+            view = read(tables, f, lo, hi, j, 1 << k)
+            parents = level.reshape(view.shape[1], -1, batch)
+            start, count = start + count, count << k
+            level = work[start : start + count]
+            np.add(parents, view, out=level.reshape((1 << k,) + parents.shape))
+            np.minimum.reduce(level, 0, None, least[f])
+        view = read(rowmin, jmax - 1 - j, lo, hi, j, 1)
+        parents = level.reshape(1, view.shape[1], -1, batch)
+        np.add(parents, view, out=parents)
+        np.minimum.reduce(level, 0, None, least[-1])
+        return least
 
-    take(tables[1 : 1 << k], 1, 0)
-    return dist
+    run = read(tables, 0, 1, 1 << k, 0, 1)[0, 0]  # level 0
+    if jmax == 0:
+        return np.minimum.reduce(run, 0)[:, None]
+    return take(run, 1, 1 << k, 0).T
 
 
 def column_distances_exhaustive(c: ConvCode, jmax: int):
@@ -274,7 +271,7 @@ def column_distances_exhaustive(c: ConvCode, jmax: int):
     if bits > MESSAGE_GUARD_BITS:
         raise ValueError(f"{bits} message bits exceed the exhaustion guard")
     table = _window_weights(c, jmax)
-    return [int(d) for d in _min_weights(table[:, None], c.k, jmax)[0]]
+    return _min_weights(table[:, None], c.k, jmax)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +295,8 @@ def _state_tables(c: ConvCode):
     the start state; it is read-only.  The plan is the shape that broadcasts
     the labels of the start states over the u_r axes, and, for each row r,
     the number of states below register r, 2^offset_r."""
-    guard_table(external_degree(c) + c.k, c.n, "state-table")
     nus = row_degrees(c)
+    guard_table(sum(nus) + c.k, c.n, "state-table")
     # Span bit offset_r + r + e is the input of row r from nu_r - e steps
     # before the branch, which multiplies G_{nu_r - e}; e = nu_r is u_r.
     rows = [c.coeffs[i].row_bits[r] for r, nu in enumerate(nus) for i in range(nu, -1, -1)]
@@ -328,15 +325,16 @@ def _min_plus_step(cur, bw, plan, leave_zero: bool = False):
     return total.reshape(-1)
 
 
-def _trellis_run(c: ConvCode, length: int):
+def _trellis_run(c: ConvCode, length: int, branch_bits: int):
     """c's trellis run from the zero state, extended to `length` steps if it
     is shorter, as (cur, dist); c keeps it.  cur[s], read-only, is the least
     weight of a path of the run's length from the zero state to s that starts
     with a nonzero input; dist is d_0 onwards.  The all-zero branch keeps the
     zero state's label, so cur[0] is the lightest return to it so far.  Its
-    `length` steps of 2^(memory + k) branches are priced first, before the
-    state tables, which `_state_tables` prices in turn, are read or built."""
-    check_jmax(length - 1, external_degree(c) + c.k)
+    `length` steps of 2^branch_bits branches, branch_bits = memory + k as
+    the caller derives it, are priced first, before the state tables, which
+    `_state_tables` prices in turn, are read or built."""
+    check_jmax(length - 1, branch_bits)
     bw, plan = c._trellis
     if "_run" not in c.__dict__:
         start = np.full(bw.size >> c.k, _INF, dtype=np.int32)
@@ -355,7 +353,7 @@ def column_distances_trellis(c: ConvCode, jmax: int):
     """Exact d_0..d_jmax by minimum-weight traversal of the encoder states."""
     if not is_delay_free(c):
         raise ValueError("column distances need a delay-free generator matrix")
-    return _trellis_run(c, jmax + 1)[1][: jmax + 1]
+    return _trellis_run(c, jmax + 1, external_degree(c) + c.k)[1][: jmax + 1]
 
 
 def distance_profile(c: ConvCode, jmax: int) -> DistanceProfile:
@@ -379,14 +377,15 @@ def free_distance(c: ConvCode) -> int:
     input and returns to it, and d_t rises to it.  Any path longer than the
     run weighs at least its d_t, so once d_t reaches cur[0], the lightest
     return so far, that return is the free distance.  The run prices its
-    length before each new step, so the search is refused once it passes
-    STEP_WORK_GUARD.
+    length before each new step, with memory + k derived once per call, so
+    the search is refused once it passes STEP_WORK_GUARD.
     """
     if not is_noncatastrophic(c):
         raise ValueError("free distance search requires a non-catastrophic code")
-    cur, dist = _trellis_run(c, 1)
+    bits = external_degree(c) + c.k
+    cur, dist = _trellis_run(c, 1, bits)
     while dist[-1] < cur[0]:
-        cur, dist = _trellis_run(c, len(dist) + 1)
+        cur, dist = _trellis_run(c, len(dist) + 1, bits)
     return int(cur[0])
 
 
@@ -573,11 +572,12 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
         raise ValueError("bounds need a delay-free generator matrix")
     check_jmax(jmax)
     # Increment i <= mu is the least window weight with a nonzero block of
-    # G_i and zero later blocks, the table's entries 2^(ik) to 2^(ik + k); for
-    # i > mu it is 0: take u = (u_0, 0, ..., 0).  One reduceat at the block
-    # starts gives them all, summed as Python ints: the table's type holds only n.
-    starts = [1 << (i * c.k) for i in range(min(jmax, c.mu) + 1)]
-    lower = list(accumulate(np.minimum.reduceat(_window_weights(c, jmax), starts).tolist()))
+    # G_i and zero earlier blocks, the depth-i table's entries with a nonzero
+    # oldest block; for i > mu it is 0: take u = (u_0, 0, ..., 0).  Summed
+    # as Python ints: the table's type holds only n.
+    table, depth = _window_weights(c, jmax), min(jmax, c.mu)
+    blocks = (table.reshape(1 << c.k * i, 1 << c.k, -1)[:, 1:, 0] for i in range(depth + 1))
+    lower = list(accumulate(int(np.minimum.reduce(b, None)) for b in blocks))
     # upper[j]: the lightest row r of G_0..G_min(j, mu), from u_0 = e_r.
     # For a row-reduced matrix every row degree is <= delta, so the cap sums
     # to min(j, delta); a non-row-reduced row may keep contributing up to mu,

@@ -121,8 +121,8 @@ def search_optimal_row(top: BitMatrix) -> RowSearchResult:
 # G_i.  A simultaneous column permutation reorders the tubes and keeps the
 # column distances, so the search visits one sorted n-tuple of tubes per
 # orbit, in lexicographic order.  Each batch of orbits is then turned once
-# into stacked rows (row i*k + r is row r of G_i), which are its window rows
-# too; the filter, the scores and the codes all read those rows.
+# into stacked rows (row i*k + r is row r of G_i), its window rows with the
+# blocks reversed; the filter, the scores and the codes all read those rows.
 
 
 def _orbit_chunks(values: int, n: int, rows: int):
@@ -191,13 +191,13 @@ def _scored_orbits(n: int, k: int, delta: int, horizon: int):
     delay-free (n, k, delta) codes in lexicographic order, with its
     d_0..d_horizon, in batches of at most 2^convcode._CHUNK_BITS message
     prefixes.  The callers run `price_search` first."""
-    window_bits = k * (min(horizon, delta) + 1)
+    window = [e * k + r for e in range(min(horizon, delta), -1, -1) for r in range(k)]
     batch = (1 << convcode._CHUNK_BITS) >> (k * (horizon + 1))
     for tubes in _orbit_chunks(1 << (k * (delta + 1)), n, batch):
         rows = _stacked_rows(tubes, k * (delta + 1))
         rows = rows[_in_space(rows, n, k, delta)]
         if len(rows):
-            tables = span_weights(xor_span(rows[:, :window_bits].T, n), np.uint8)
+            tables = span_weights(xor_span(rows[:, window].T, n), np.uint8)
             yield rows, _min_weights(tables, k, horizon)
 
 

@@ -156,7 +156,7 @@ class TestDistances:
 
         monkeypatch.setattr(convcode, "STEP_WORK_GUARD", 1 << 11)
         monkeypatch.setattr(convcode, "xor_span", no_tables)
-        with pytest.raises(ValueError, match=r"1 steps of 2\^12 branch updates exceed the step guard"):
+        with pytest.raises(ValueError, match=r"1 step of 2\^12 branch updates exceeds the step guard"):
             free_distance(c)
 
     @pytest.mark.parametrize(
@@ -178,9 +178,19 @@ class TestDistances:
         rows = ["1" * 130] + ["0" * 130] * 21 + ["1" + "0" * 129]
         c = code_from_rows(rows)
         assert external_degree(c) + c.k == STATE_GUARD_BITS - 1
-        # the same rows cut to 64 columns fit, and go to the trellis
-        monkeypatch.setattr(convcode, "column_distances_trellis", lambda c, jmax: [64] * 3)
-        assert distance_profile(code_from_rows([r[:64] for r in rows]), 2).method == "trellis"
+        # the state-table guard admits the same rows cut to 64 columns, so
+        # `_state_tables` goes on to the span, and refuses the 130 columns
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(convcode, "xor_span", admitted)
+        with pytest.raises(Admitted):
+            convcode._state_tables(code_from_rows([r[:64] for r in rows]))
+        with pytest.raises(ValueError, match="state-table bits exceed the memory guard"):
+            convcode._state_tables(c)
         monkeypatch.undo()
 
         def no_tables(*args):
@@ -251,7 +261,7 @@ class TestKeptValues:
         bw, _ = c._trellis
         with pytest.raises(ValueError, match="read-only"):
             bw[(0,) * bw.ndim] = 1
-        # depth 0 is served as a prefix of the depth-2 table
+        # depth 0 is served as a strided view of the depth-2 table
         for jmax in (2, 0):
             table = convcode._window_weights(c, jmax)
             fresh = convcode._window_weights(code_from_rows(["1111", "1010", "1100"]), jmax)
@@ -288,6 +298,14 @@ class TestKeptValues:
         steps.clear()
         assert free_distance(fresh) == want and len(steps) < jmax + 1
         assert column_distances_trellis(fresh, jmax) == tr and len(steps) == jmax + 1
+
+    def test_free_distance_derives_memory_once(self, monkeypatch):
+        # memory + k prices every step of the search, derived once per call
+        code, _ = construct(5, 1, 10)
+        calls, degree = [], convcode.external_degree
+        monkeypatch.setattr(convcode, "external_degree", lambda c: calls.append(c) or degree(c))
+        assert free_distance(code) == reference_free_distance(code)
+        assert len(code._run[1]) > 1 and calls == [code]
 
     def test_kept_values_leave_equality_and_hash_alone(self):
         a, b = (code_from_rows(["1111", "1010", "1100"]) for _ in range(2))
@@ -553,6 +571,17 @@ def scalar_min_weights(table, k, jmax):
     return dist
 
 
+def newest_on_top(table, k):
+    """`table`, laid out oldest block on top as `scalar_min_weights` reads
+    it, with its blocks reversed: newest block on top, as `_window_weights`
+    lays a table out and `_min_weights` reads it."""
+    blocks, mask = (len(table).bit_length() - 1) // k, (1 << k) - 1
+    out = [None] * len(table)
+    for x, w in enumerate(table):
+        out[sum((x >> k * e & mask) << k * (blocks - 1 - e) for e in range(blocks))] = w
+    return out
+
+
 @pytest.mark.parametrize("chunk_bits", [3, 4, 5, 22])
 def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
     """Random window tables, not only tables of codes.  At 2^3 entries a
@@ -575,11 +604,12 @@ def test_min_weights_matches_scalar_enumeration(monkeypatch, chunk_bits):
                     [rng.randrange(high) for _ in range(1 << (k * (depth + 1)))]
                     for _ in range(rng.randint(1, 5))
                 ]
-                given = np.array(tables).T
+                laid_out = [newest_on_top(t, k) for t in tables]
+                given = np.array(laid_out).T
                 got = convcode._min_weights(given, k, jmax)
                 want = [scalar_min_weights(t, k, jmax) for t in tables]
                 assert got.tolist() == want, (k, depth, jmax)
-                assert given.T.tolist() == tables
+                assert given.T.tolist() == laid_out
                 cases += 1
     assert cases == 4 * (8 + 7 + 5)
 
@@ -602,7 +632,7 @@ def test_min_weights_at_the_piece_budget(monkeypatch, k, jmax, chunk_bits, batch
     for depth in range(jmax + 1):
         tables = [[rng.randrange(300) for _ in range(1 << (k * (depth + 1)))]
                   for _ in range(batch)]
-        got = convcode._min_weights(np.array(tables).T, k, jmax)
+        got = convcode._min_weights(np.array([newest_on_top(t, k) for t in tables]).T, k, jmax)
         assert got.tolist() == [scalar_min_weights(t, k, jmax) for t in tables], depth
 
 

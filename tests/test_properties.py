@@ -135,7 +135,8 @@ def test_batch_kernel_matches_trellis(case):
     keep = [is_delay_free(c) for c in codes]
     assume(any(keep))
     tubes = np.array([t for t, ok in zip(batch, keep) if ok], dtype=np.int64)
-    rows = _stacked_rows(tubes, height)[:, : k * (min(jmax, delta) + 1)]
+    window = [e * k + r for e in range(min(jmax, delta), -1, -1) for r in range(k)]
+    rows = _stacked_rows(tubes, height)[:, window]
     profiles = _min_weights(span_weights(xor_span(rows.T, n), np.uint8), k, jmax)
     for code, profile in zip([c for c, ok in zip(codes, keep) if ok], profiles):
         assert [int(d) for d in profile] == column_distances_trellis(code, jmax)
