@@ -142,9 +142,8 @@ def check_jmax(jmax: int, branch_bits: int = 0) -> None:
         raise ValueError("jmax must be >= 0")
     bits = max(branch_bits, _STEP_FLOOR_BITS)
     if (jmax + 1) << bits > STEP_WORK_GUARD:
-        if jmax:
-            raise ValueError(f"{jmax + 1} steps of 2^{bits} branch updates exceed the step guard")
-        raise ValueError(f"1 step of 2^{bits} branch updates exceeds the step guard")
+        steps, verb = (f"{jmax + 1} steps", "exceed") if jmax else ("1 step", "exceeds")
+        raise ValueError(f"{steps} of 2^{bits} branch updates {verb} the step guard")
 
 
 def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
@@ -168,11 +167,10 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
 
     The newest block is on top: window bit k*(D-e) + r is row r of u_{i-e},
     which multiplies G_e.  The blocks before u_0 are zero, so the entries
-    with zero low blocks serve i < D.  For the same reason the table of
-    depth D is every 2^(k(D'-D))-th entry of one of depth D' > D: c keeps
-    the deepest table built so far, a shallower depth reads it as a strided
-    view, and only a deeper depth builds anew.  A window weighs at most n,
-    so the entries take the smallest unsigned type that holds n."""
+    with zero low blocks serve i < D, and the depth-D table is every
+    2^(k(D'-D))-th entry of a deeper one: c keeps the deepest table built so
+    far, which a shallower depth reads as a strided view.  A window weighs
+    at most n: the entries take the smallest unsigned type for n."""
     depth = min(jmax, c.mu)
     bits = c.k * (depth + 1)
     table = c.__dict__.get("_window_table")
@@ -188,21 +186,19 @@ def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
 def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     """Column distances of a batch of codes from their window-weight tables.
 
-    tables[:, b] is code b's window-weight table, as `_window_weights`
-    lays it out.  Entry (b, j) of the result is the least weight of output
-    blocks 0..j over every message prefix u_0..u_j with u_0 != 0.  Level j
-    is laid out like the table, newest block on top (prefix p is the int
-    with u_j in its top block), so it is level j - 1 broadcast over a new
-    leading axis, u_j, plus the table at the windows u_j..u_{j-D}: a
-    strided view with the blocks before u_0 at zero while j <= D, then the
-    whole table over the inner axis of the older blocks.  One add writes a
-    level and one min gives its d_j.  The last level is never built: d_jmax
-    is the least parent weight plus rowmin, the lightest newest block of
-    each window, read the same way.  A piece (the descendants of the
-    level-0 prefixes or of one prefix, whose blocks enter the views as a
-    fixed index) whose levels would pass 2^_CHUNK_BITS entries is grown one
-    level, each child then a piece of its own.  The batch is innermost, as
-    `xor_span` fills a batch of spans.
+    tables[:, b] is code b's table, as `_window_weights` lays it out; entry
+    (b, j) of the result is the least weight of output blocks 0..j over the
+    message prefixes u_0..u_j with u_0 != 0.  Level j is laid out like the
+    table, newest block on top, so it is level j - 1 broadcast over a new
+    leading axis, u_j, plus the table at the windows u_j..u_{j-D}: a strided
+    view with the blocks before u_0 at zero while j <= D, then the whole
+    table over the inner axis of the older blocks.  One add writes a level
+    and one min gives its d_j.  The last level is never built: d_jmax is the
+    least parent weight plus rowmin, the lightest newest block of each
+    window.  A piece (the descendants of the level-0 prefixes or of one
+    prefix, whose blocks enter the views as a fixed index) whose levels
+    would pass 2^_CHUNK_BITS entries is grown one level, each child then a
+    piece of its own.  The batch is innermost, as `xor_span` fills it.
     """
     batch = tables.shape[1]
     bound = int(tables.max()) * (jmax + 1)  # no prefix weighs more
@@ -232,8 +228,7 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
         least = np.empty((jmax + 1 - j, batch), dtype)
         np.minimum.reduce(run, 0, None, least[0])
         if (hi - lo) * levels(j) > budget:
-            view = read(tables, 1, lo, hi, j, 1 << k)
-            children = np.add(run, view).reshape(-1, batch)
+            children = np.add(run, read(tables, 1, lo, hi, j, 1 << k)).reshape(-1, batch)
             least[1:] = bound
             for x in range(len(children)):
                 p = (x // (hi - lo)) << k * (j + 1) | lo + x % (hi - lo)
@@ -257,9 +252,7 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
         return least
 
     run = read(tables, 0, 1, 1 << k, 0, 1)[0, 0]  # level 0
-    if jmax == 0:
-        return np.minimum.reduce(run, 0)[:, None]
-    return take(run, 1, 1 << k, 0).T
+    return take(run, 1, 1 << k, 0).T if jmax else np.minimum.reduce(run, 0)[:, None]
 
 
 def column_distances_exhaustive(c: ConvCode, jmax: int):
@@ -331,9 +324,9 @@ def _trellis_run(c: ConvCode, length: int, branch_bits: int):
     weight of a path of the run's length from the zero state to s that starts
     with a nonzero input; dist is d_0 onwards.  The all-zero branch keeps the
     zero state's label, so cur[0] is the lightest return to it so far.  Its
-    `length` steps of 2^branch_bits branches, branch_bits = memory + k as
-    the caller derives it, are priced first, before the state tables, which
-    `_state_tables` prices in turn, are read or built."""
+    `length` steps of 2^branch_bits branches (memory + k) are priced first,
+    before the state tables, which `_state_tables` prices in turn, are read
+    or built."""
     check_jmax(length - 1, branch_bits)
     bw, plan = c._trellis
     if "_run" not in c.__dict__:
@@ -572,12 +565,19 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
         raise ValueError("bounds need a delay-free generator matrix")
     check_jmax(jmax)
     # Increment i <= mu is the least window weight with a nonzero block of
-    # G_i and zero earlier blocks, the depth-i table's entries with a nonzero
-    # oldest block; for i > mu it is 0: take u = (u_0, 0, ..., 0).  Summed
-    # as Python ints: the table's type holds only n.
-    table, depth = _window_weights(c, jmax), min(jmax, c.mu)
-    blocks = (table.reshape(1 << c.k * i, 1 << c.k, -1)[:, 1:, 0] for i in range(depth + 1))
-    lower = list(accumulate(int(np.minimum.reduce(b, None)) for b in blocks))
+    # G_i and zero older blocks (0 for i > mu: take u = (u_0, 0, ...)).  For
+    # i < h = ceil((D + 1) / 2) these windows lie in table[::low]; for the
+    # others the least weights over the h free newest blocks stand in for them.
+    table = _window_weights(c, jmax)
+    low = len(table) >> c.k * ((min(jmax, c.mu) + 2) // 2)
+    increments = []
+    for part in (table[::low].tolist(), np.minimum.reduce(table.reshape(-1, low)).tolist()):
+        step = len(part)
+        while step := step >> c.k:
+            rows = part[::step]  # no nonzero block older than the one at step
+            del rows[:: 1 << c.k]  # and that one nonzero
+            increments.append(min(rows))
+    lower = list(accumulate(increments))
     # upper[j]: the lightest row r of G_0..G_min(j, mu), from u_0 = e_r.
     # For a row-reduced matrix every row degree is <= delta, so the cap sums
     # to min(j, delta); a non-row-reduced row may keep contributing up to mu,
