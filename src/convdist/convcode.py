@@ -24,7 +24,7 @@ from typing import Optional
 
 from .gf2core import (
     TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, np,
-    poly_divmod, poly_mul, rank, span_weights, transpose, xor_span,
+    poly_divmod, poly_mul, rank, span_weights, xor_span,
 )
 
 MESSAGE_GUARD_BITS = 30
@@ -490,21 +490,39 @@ def has_generic_row_degrees(c: ConvCode) -> bool:
 def is_noncatastrophic(c: ConvCode) -> bool:
     """Left primeness: the gcd of all k x k minors of G(z) is 1.
 
-    Unimodular column operations keep that gcd (Cauchy-Binet).  For each row
-    i in turn, Euclid's algorithm on the columns not yet used as pivots
-    leaves one column with a nonzero entry in row i, the pivot.  That brings
-    G(z) to [L | 0] with L lower triangular, whose maximal minors have gcd
-    det L, the product of the pivots.  Equal columns are taken once:
-    subtracting one from its twin leaves a zero column, in no nonzero minor.
-    The verdict is kept on c.
+    That gcd depends only on the F2[z]-module the columns generate, so a basis
+    of their F2-span, read off the stacked rows, stands in for all n columns.
+    Unimodular column operations keep the gcd (Cauchy-Binet).  For each row i in
+    turn, Euclid's algorithm on the columns not yet used as pivots leaves one
+    column with a nonzero entry in row i, the pivot.  That brings the basis
+    to [L | 0] with L lower triangular, whose maximal minors have gcd det L,
+    the product of the pivots.  The verdict is kept on c.
     """
     return c._noncatastrophic
 
 
 def _left_prime(c: ConvCode) -> bool:
-    # entry r of column j is entry (r, j) of G(z): bit i is bit j of row r of G_i
-    entries = [transpose([g.row_bits[r] for g in c.coeffs], c.n) for r in range(c.k)]
-    cols = [list(col) for col in set(zip(*entries))]
+    # Row operations keep the dependencies among the stacked columns, so the
+    # columns at the lowest-bit pivots of the nonzero stacked rows, each
+    # reduced by the earlier ones, are a basis of the span of them all.
+    lows = []  # (lowest bit, reduced row)
+    rows = [row for g in c.coeffs for row in g.row_bits if row]
+    for v in rows:
+        for low, pv in lows:
+            if v & low:
+                v ^= pv
+        if v:
+            lows.append((v & -v, v))
+    # Independent rows span every tube on their coordinates, the constant
+    # unit vector of each row of G(z) among them when G_0 has no zero row.
+    if len(lows) == len(rows) and all(c.coeffs[0].row_bits):
+        return True
+    # entry r of the basis column at bit j is entry (r, j) of G(z): bit i is
+    # bit j of row r of G_i
+    cols = [
+        [sum(1 << i for i, g in enumerate(c.coeffs) if g.row_bits[r] & low) for r in range(c.k)]
+        for low, _ in lows
+    ]
     pivots = []
     for i in range(c.k):
         live = [col for col in cols if col[i]]

@@ -1,3 +1,4 @@
+import functools
 import heapq
 import math
 import random
@@ -13,6 +14,7 @@ from convdist.convcode import (
     ConvCode,
     DistanceProfile,
     L_value,
+    _stacked_code,
     column_bound,
     column_distances_exhaustive,
     column_distances_trellis,
@@ -30,8 +32,8 @@ from convdist.convcode import (
     singleton_bound,
     sliding_matrix,
 )
-from convdist.gf2core import BitMatrix, rank
-from poly_oracle import vec_mat_mul
+from convdist.gf2core import BitMatrix, rank, transpose
+from poly_oracle import PolyMatrix, k_minors, poly_gcd, vec_mat_mul
 
 
 def code_from_rows(rows, k=1, delta=None):
@@ -342,6 +344,39 @@ class TestStructure:
     def test_noncatastrophic(self):
         assert is_noncatastrophic(REP_211)
         assert not is_noncatastrophic(CATASTROPHIC)
+
+    def test_independent_rows_need_a_full_g0(self):
+        # the stacked rows are independent, but a row of G_0 is zero, so z
+        # divides every minor: diag(1, z) and (z, z)
+        assert not is_noncatastrophic(code_from_rows(["10", "00", "00", "01"], k=2))
+        assert not is_noncatastrophic(code_from_rows(["00", "11"]))
+        # independent rows and a full G_0: ((1, 0, z), (0, 1, 0)) is left prime
+        assert is_noncatastrophic(code_from_rows(["100", "010", "001", "000"], k=2))
+
+    @pytest.mark.parametrize("k, n, mu", [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 2, 1), (2, 3, 1)])
+    def test_noncatastrophic_matches_minor_gcd_on_every_code(self, k, n, mu):
+        for bits in range(1 << k * n * mu, 1 << k * n * (mu + 1)):  # G_mu != 0
+            rows = [bits >> n * i & (1 << n) - 1 for i in range(k * (mu + 1))]
+            c = _stacked_code(rows, n, k, mu)
+            minors = [m for m in k_minors(PolyMatrix.from_coeffs(c.coeffs)) if m.bits]
+            if not minors:
+                with pytest.raises(ValueError, match="rank deficient"):
+                    is_noncatastrophic(c)
+                continue
+            assert is_noncatastrophic(c) == (functools.reduce(poly_gcd, minors).bits == 1), rows
+
+    @pytest.mark.parametrize("n", [300, 3000])
+    def test_noncatastrophic_divides_by_the_basis_not_by_n(self, monkeypatch, n):
+        # n distinct tubes of even weight: none is a monomial, the stacked rows
+        # sum to zero, and 1 + z divides every column
+        tubes = [t for t in range(1, 1 << 13) if t.bit_count() % 2 == 0][:n]
+        c = _stacked_code(transpose(tubes, 13), n, 1, 12)
+        calls = []
+        divmod_ = convcode.poly_divmod
+        monkeypatch.setattr(convcode, "poly_divmod", lambda a, b: calls.append(b) or divmod_(a, b))
+        assert not is_noncatastrophic(c)
+        # at most mu + 1 basis columns, each Euclid round lowers the pivot's degree
+        assert 0 < len(calls) <= (c.mu + 1) ** 2
 
     def test_rank_deficient_raises(self):
         c = code_from_rows(["11", "11", "11", "11"], k=2, delta=1)
