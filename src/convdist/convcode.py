@@ -492,11 +492,11 @@ def is_noncatastrophic(c: ConvCode) -> bool:
 
     That gcd depends only on the F2[z]-module the columns generate, so a basis
     of their F2-span, read off the stacked rows, stands in for all n columns.
-    Unimodular column operations keep the gcd (Cauchy-Binet).  For each row i in
-    turn, Euclid's algorithm on the columns not yet used as pivots leaves one
-    column with a nonzero entry in row i, the pivot.  That brings the basis
-    to [L | 0] with L lower triangular, whose maximal minors have gcd det L,
-    the product of the pivots.  The verdict is kept on c.
+    Unimodular column operations keep the gcd (Cauchy-Binet).  For each row
+    i in turn, Euclid's algorithm on the columns not yet used as pivots
+    leaves one column with a nonzero entry in row i, the pivot.  That brings
+    the basis to [L | 0] with L lower triangular, whose maximal minors have
+    gcd det L, the product of the pivots.  The verdict is kept on c.
     """
     return c._noncatastrophic
 

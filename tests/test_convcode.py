@@ -355,7 +355,7 @@ class TestStructure:
 
     @pytest.mark.parametrize("k, n, mu", [(1, 1, 3), (1, 2, 3), (1, 3, 3), (2, 2, 1), (2, 3, 1)])
     def test_noncatastrophic_matches_minor_gcd_on_every_code(self, k, n, mu):
-        for bits in range(1 << k * n * mu, 1 << k * n * (mu + 1)):  # G_mu != 0
+        for bits in range(1 << k * n * (mu + 1)):  # every memory up to mu
             rows = [bits >> n * i & (1 << n) - 1 for i in range(k * (mu + 1))]
             c = _stacked_code(rows, n, k, mu)
             minors = [m for m in k_minors(PolyMatrix.from_coeffs(c.coeffs)) if m.bits]
