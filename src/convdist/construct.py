@@ -28,7 +28,7 @@ from .convcode import (
     free_distance,
     is_noncatastrophic,
 )
-from .gf2core import BitMatrix, guard_table, hstack, np, table_bits, transpose, xor_span
+from .gf2core import BitMatrix, guard_table, hstack, np, table_bits, xor_span
 from .optsearch import search_optimal_row
 from .simplex import canonical_stack, m_fold, partial_simplex
 
@@ -272,7 +272,6 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
             f"k-dim extension: {r} steps over a 2^{bits}-word span exceed the step guard"
         )
     stack = canonical_stack(k, delta, base_len)
-    columns = transpose(stack.row_bits, base_len)  # column j, row i at bit i
     # span[u - 1]: the codeword of message u on every canonical column
     span = xor_span(stack.row_bits, base_len)[1:]
     # weight[u - 1]: its weight on the columns chosen so far
@@ -285,8 +284,11 @@ def _k_dim_stack(r: int, k: int, delta: int) -> BitMatrix:
         best = (cands & -cands).bit_length() - 1
         free ^= 1 << best
         weight += (span[:, best >> 6] >> (best & 63)) & 1
-        chosen.append(columns[best])
-    return BitMatrix(r, tuple(transpose(chosen, delta + k)))
+        chosen.append(best)
+    # residual row i: bit t is row i of the canonical column chosen t-th
+    return BitMatrix(r, tuple(
+        sum((row >> b & 1) << t for t, b in enumerate(chosen)) for row in stack.row_bits
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .gf2core import (
-    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, guard_table, np,
+    TABLE_GUARD_BITS as STATE_GUARD_BITS, BitMatrix, echelon, guard_table, np,
     poly_divmod, poly_mul, rank, span_weights, xor_span,
 )
 
@@ -147,18 +147,20 @@ def check_jmax(jmax: int, branch_bits: int = 0) -> None:
 
 
 def sliding_matrix(c: ConvCode, j: int) -> BitMatrix:
-    """Truncated sliding generator matrix: block (r, s) is G_{s-r}."""
+    """Truncated sliding generator matrix: block (r, s) is G_{s-r}, so block
+    row r is block row 0 shifted r blocks right and cut to j + 1 blocks.
+    Its (j+1)k rows of (j+1)n bits are priced by the table guard first."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    rows = []
-    for r in range(j + 1):
-        for row in range(c.k):
-            bits = 0
-            for s in range(r, j + 1):
-                g = c.coeff(s - r)
-                bits |= g.row_bits[row] << (s * c.n)
-            rows.append(bits)
-    return BitMatrix((j + 1) * c.n, tuple(rows))
+    width = (j + 1) * c.n
+    guard_table(((j + 1) * c.k - 1).bit_length(), width, "sliding-matrix")
+    top = [0] * c.k
+    for s, g in enumerate(c.coeffs[: j + 1]):
+        for row, bits in enumerate(g.row_bits):
+            top[row] |= bits << (s * c.n)
+    cut = (1 << width) - 1
+    rows = [(bits << (r * c.n)) & cut for r in range(j + 1) for bits in top]
+    return BitMatrix(width, tuple(rows))
 
 
 def _window_weights(c: ConvCode, jmax: int) -> np.ndarray:
@@ -403,22 +405,6 @@ def external_degree(c: ConvCode) -> int:
     return sum(row_degrees(c))
 
 
-def _dependent_rows(vecs) -> int:
-    """Bit mask of a nonempty set of the GF(2) row vectors `vecs` that sums to
-    zero, or 0 if they are linearly independent."""
-    pivots = []  # (lowest bit, reduced vector, mask of the rows it sums)
-    for i, v in enumerate(vecs):
-        mask = 1 << i
-        for low, pv, pmask in pivots:
-            if v & low:
-                v ^= pv
-                mask ^= pmask
-        if not v:
-            return mask
-        pivots.append((v & -v, v, mask))
-    return 0
-
-
 def _row_reduce(rows: list, n: int) -> list:
     """The rows of a row-reduced generator matrix of the code of the packed
     rows of G(z), k <= n of them, or rows that include a zero one if all
@@ -434,7 +420,8 @@ def _row_reduce(rows: list, n: int) -> list:
     rows = list(rows)
     while all(rows):
         nus = [(g.bit_length() - 1) // n for g in rows]
-        dep = _dependent_rows([g >> (nu * n) for g, nu in zip(rows, nus)])
+        lead = echelon([g >> (nu * n) for g, nu in zip(rows, nus)])
+        dep = next((mask for low, _, mask in lead if not low), 0)
         if not dep:
             break
         members = [i for i in range(len(rows)) if dep >> i & 1]
@@ -484,7 +471,7 @@ def has_generic_row_degrees(c: ConvCode) -> bool:
     hi = -(-delta // k)
     t = delta + k - k * hi
     expected = [hi] * t + [delta // k] * (k - t)
-    return sorted(row_degrees(c), reverse=True) == sorted(expected, reverse=True)
+    return sorted(row_degrees(c), reverse=True) == expected
 
 
 def is_noncatastrophic(c: ConvCode) -> bool:
@@ -505,14 +492,8 @@ def _left_prime(c: ConvCode) -> bool:
     # Row operations keep the dependencies among the stacked columns, so the
     # columns at the lowest-bit pivots of the nonzero stacked rows, each
     # reduced by the earlier ones, are a basis of the span of them all.
-    lows = []  # (lowest bit, reduced row)
     rows = [row for g in c.coeffs for row in g.row_bits if row]
-    for v in rows:
-        for low, pv in lows:
-            if v & low:
-                v ^= pv
-        if v:
-            lows.append((v & -v, v))
+    lows = [low for low, _, _ in echelon(rows) if low]
     # Independent rows span every tube on their coordinates, the constant
     # unit vector of each row of G(z) among them when G_0 has no zero row.
     if len(lows) == len(rows) and all(c.coeffs[0].row_bits):
@@ -521,7 +502,7 @@ def _left_prime(c: ConvCode) -> bool:
     # bit j of row r of G_i
     cols = [
         [sum(1 << i for i, g in enumerate(c.coeffs) if g.row_bits[r] & low) for r in range(c.k)]
-        for low, _ in lows
+        for low in lows
     ]
     pivots = []
     for i in range(c.k):

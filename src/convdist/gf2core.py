@@ -6,7 +6,8 @@ are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the package needs only their product and
 division.  Rows become columns through `transpose`, and ints become 0/1
 strings and back through one base-2 codec, both in linear time.  Every
-codeword-weight enumeration goes through one numpy kernel, `xor_span`.
+Gaussian elimination goes through `echelon`, and every codeword-weight
+enumeration through one numpy kernel, `xor_span`.
 
 numpy is bound here, and only here, as `np`: the other modules import it
 from this one.  Unless numpy was already imported, it loads on the first
@@ -147,17 +148,28 @@ class BitMatrix:
         return f"BitMatrix({self.row_strings()})"
 
 
+def echelon(vecs) -> list:
+    """The package's one Gaussian elimination over GF(2), on packed ints.
+
+    Entry i is (low, v, mask): vector i reduced by the earlier pivots in
+    order to v, the sum of the vectors at the bits of mask, and low = v & -v,
+    its pivot bit, which is 0 exactly when that set of vectors sums to zero,
+    so that such an entry reduces nothing.
+    """
+    entries = []
+    for i, v in enumerate(vecs):
+        mask = 1 << i
+        for low, pv, pmask in entries:
+            if v & low:
+                v ^= pv
+                mask ^= pmask
+        entries.append((v & -v, v, mask))
+    return entries
+
+
 def rank(m: BitMatrix) -> int:
-    """Row rank over GF(2) via Gaussian elimination on packed rows."""
-    work = [r for r in m.row_bits if r]
-    rnk = 0
-    while work:
-        pivot = work.pop()
-        low = pivot & -pivot
-        rnk += 1
-        work = [r ^ pivot if r & low else r for r in work]
-        work = [r for r in work if r]
-    return rnk
+    """Row rank over GF(2): the pivots of `echelon` on the rows."""
+    return sum(1 for low, _, _ in echelon(m.row_bits) if low)
 
 
 def hstack(ms: Sequence[BitMatrix]) -> BitMatrix:

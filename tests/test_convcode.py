@@ -74,6 +74,26 @@ class TestSlidingMatrix:
         m = sliding_matrix(c, 1)
         assert m.row_strings() == ["1011", "0110", "0010", "0001"]
 
+    def test_blocks_match_the_definition(self):
+        rng = random.Random(149)
+        for _ in range(300):
+            c = random_delay_free_code(rng)
+            for j in {0, 1, c.mu, c.mu + 2}:
+                m = sliding_matrix(c, j)
+                assert (m.rows, m.cols) == ((j + 1) * c.k, (j + 1) * c.n)
+                for r in range(j + 1):
+                    for i in range(c.k):
+                        row = m.row_bits[r * c.k + i]
+                        blocks = [row >> (s * c.n) & ((1 << c.n) - 1) for s in range(j + 1)]
+                        want = [0] * r + [c.coeff(s).row_bits[i] for s in range(j + 1 - r)]
+                        assert blocks == want, (c, j)
+
+    def test_guard_refuses_before_building(self):
+        # the first j refused: 2^14 + 1 rows of 2^15 + 2 bits take 2^15 * 2^10 words
+        with pytest.raises(ValueError, match="25 sliding-matrix bits exceed the memory guard"):
+            sliding_matrix(REP_211, 1 << 14)
+        assert sliding_matrix(REP_211, 2000).rows == 2001
+
 
 class TestDistances:
     def test_known_profiles(self):

@@ -13,6 +13,7 @@ import convdist
 from convdist.gf2core import (
     BitMatrix,
     BitVec,
+    echelon,
     hstack,
     rank,
     span_weights,
@@ -106,6 +107,37 @@ def test_transpose_bit_order():
     assert transpose([0b1], 1) == [1]
     assert transpose([], 3) == [0, 0, 0]
     assert transpose([0, 0], 0) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrices())
+def test_echelon_and_rank(m):
+    rows = m.row_bits
+    entries = echelon(rows)
+    assert len(entries) == len(rows)
+    # the rank counts the pivots, and 2^rank codewords span the rows
+    assert 2 ** rank(m) == len(np.unique(xor_span(rows, m.cols), axis=0))
+    assert rank(m) == sum(1 for low, _, _ in entries if low)
+    for i, (low, v, mask) in enumerate(entries):
+        # v is the sum of the rows at mask, row i among them and no later row
+        assert mask >> i == 1
+        selected = 0
+        for t, row in enumerate(rows):
+            if mask >> t & 1:
+                selected ^= row
+        assert selected == v
+        assert low == v & -v
+        if not low:
+            assert v == 0  # a zero entry's mask selects rows that XOR to zero
+    lows = [low for low, _, _ in entries if low]
+    assert len(set(lows)) == len(lows)
+
+
+def test_echelon_entries():
+    # row 2 = row 0 + row 1; row 1 is reduced by row 0's pivot, bit 0
+    assert echelon([0b011, 0b101, 0b110]) == [(1, 0b011, 0b001), (2, 0b110, 0b011), (0, 0, 0b111)]
+    assert echelon([0, 0b10]) == [(0, 0, 0b01), (2, 0b10, 0b10)]
+    assert echelon([]) == []
 
 
 class TestPoly2:
