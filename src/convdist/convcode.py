@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import add
 from typing import Optional
 
 from .gf2core import (
@@ -39,6 +40,10 @@ _STEP_FLOOR_BITS = 12
 # Largest work array in flight, in entries: the levels of a piece of message
 # prefixes in `_min_weights` and a batch of orbits in the brute force.
 _CHUNK_BITS = 22
+# Widest batch whose levels in `_min_weights` take their minima in one
+# `reduceat`.  It walks the work array one code's column at a time, so past
+# about 32 codes a `reduce` per level, which walks whole rows, is cheaper.
+_REDUCEAT_BATCH = 32
 # Unreached states sit at _INF.  The state tables hold int32 path weights,
 # which are exact while _INF + n * (j + 1) < 2^31, that is for every d_j
 # below 2^30.
@@ -194,13 +199,16 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     table, newest block on top, so it is level j - 1 broadcast over a new
     leading axis, u_j, plus the table at the windows u_j..u_{j-D}: a strided
     view with the blocks before u_0 at zero while j <= D, then the whole
-    table over the inner axis of the older blocks.  One add writes a level
-    and one min gives its d_j.  The last level is never built: d_jmax is the
-    least parent weight plus rowmin, the lightest newest block of each
-    window.  A piece (the descendants of the level-0 prefixes or of one
-    prefix, whose blocks enter the views as a fixed index) whose levels
-    would pass 2^_CHUNK_BITS entries is grown one level, each child then a
-    piece of its own.  The batch is innermost, as `xor_span` fills it.
+    table over the inner axis of the older blocks.  One add writes a level,
+    each after the other in one array, and one `reduceat` over that array
+    gives d_j of all of them (a `reduce` per level past _REDUCEAT_BATCH
+    codes).  The last level is never built: d_jmax is the least parent
+    weight plus rowmin, the lightest newest block of each window, added in
+    place over the parents after the `reduceat`.  A piece (the descendants
+    of the level-0 prefixes or of one prefix, whose blocks enter the views
+    as a fixed index) whose levels would pass 2^_CHUNK_BITS entries is grown
+    one level, each child then a piece of its own.  The batch is innermost,
+    as `xor_span` fills it.
     """
     batch = tables.shape[1]
     bound = int(tables.max()) * (jmax + 1)  # no prefix weighs more
@@ -228,8 +236,8 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
         """Rows d_j..d_jmax over the prefixes lo..hi-1 of level j, which
         weigh `run`, and their descendants."""
         least = np.empty((jmax + 1 - j, batch), dtype)
-        np.minimum.reduce(run, 0, None, least[0])
         if (hi - lo) * levels(j) > budget:
+            np.minimum.reduce(run, 0, None, least[0])
             children = np.add(run, read(tables, 1, lo, hi, j, 1 << k)).reshape(-1, batch)
             least[1:] = bound
             for x in range(len(children)):
@@ -238,15 +246,21 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
             return least
         work = np.empty(((hi - lo) * levels(j), batch), dtype)
         start, count = 0, hi - lo
+        starts = [start]
         level = work[:count]
         level[...] = run
         for f in range(1, jmax - j):
             view = read(tables, f, lo, hi, j, 1 << k)
             parents = level.reshape(view.shape[1], -1, batch)
             start, count = start + count, count << k
+            starts.append(start)
             level = work[start : start + count]
             np.add(parents, view, out=level.reshape((1 << k,) + parents.shape))
-            np.minimum.reduce(level, 0, None, least[f])
+        if batch <= _REDUCEAT_BATCH:  # d_j..d_jmax-1
+            np.minimum.reduceat(work, starts, 0, None, least[:-1])
+        else:
+            for f, (s, e) in enumerate(zip(starts, starts[1:] + [len(work)])):
+                np.minimum.reduce(work[s:e], 0, None, least[f])
         view = read(rowmin, jmax - 1 - j, lo, hi, j, 1)
         parents = level.reshape(1, view.shape[1], -1, batch)
         np.add(parents, view, out=parents)
@@ -581,8 +595,10 @@ def row_weight_bounds(c: ConvCode, jmax: int) -> BoundReport:
     # For a row-reduced matrix every row degree is <= delta, so the cap sums
     # to min(j, delta); a non-row-reduced row may keep contributing up to mu,
     # hence the max.
-    weights = ([row.bit_count() for row in g.row_bits] for g in c.coeffs)
-    upper = [min(s) for s in accumulate(weights, lambda a, b: [x + y for x, y in zip(a, b)])]
+    sums, upper = [0] * c.k, []
+    for g in c.coeffs:  # the weight of each row r of G_0..G_i
+        sums = list(map(add, sums, map(int.bit_count, g.row_bits)))
+        upper.append(min(sums))
     cap = [c.n * (i + 1) for i in range(min(jmax, max(c.delta, c.mu)) + 1)]
     # entry j of each bound is entry min(j, len - 1) of its per-i list
     held = [tuple(v[: jmax + 1] + v[-1:] * (jmax + 1 - len(v))) for v in (lower, upper, cap)]

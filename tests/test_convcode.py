@@ -691,7 +691,53 @@ def test_min_weights_at_the_piece_budget(monkeypatch, k, jmax, chunk_bits, batch
         assert got.tolist() == [scalar_min_weights(t, k, jmax) for t in tables], depth
 
 
-@pytest.mark.parametrize("params, jmax", [((2, 1, 2), 23), ((5, 1, 3), 25), ((3, 2, 1), 12),
+@pytest.mark.parametrize(
+    "k, jmax, chunk_bits, batch, pieces",
+    [(1, 1, 22, 1, 1), (1, 8, 22, 1, 1), (2, 3, 22, 32, 1), (1, 8, 4, 1, 16), (2, 4, 7, 4, 12),
+     (1, 5, 22, 33, 1)],
+)
+def test_min_weights_reduces_each_piece_once(monkeypatch, k, jmax, chunk_bits, batch, pieces):
+    """Each leaf piece takes d_j..d_jmax-1 of its levels with one `reduceat`,
+    or one `reduce` per level for a batch wider than _REDUCEAT_BATCH, and
+    d_jmax with one `reduce`.  A one-piece call makes one more `reduce`, for
+    the lightest newest block of each window.  Split at 2^chunk_bits // batch
+    entries per code, the pieces are the 2^(kj) (2^k - 1) prefixes of the
+    first level j with levels j..jmax-1 in budget."""
+    from convdist.gf2core import np
+
+    calls = []
+
+    class Minimum:
+        def __call__(self, *args, **kwargs):
+            return np.minimum(*args, **kwargs)
+
+        def reduce(self, *args, **kwargs):
+            calls.append("reduce")
+            return np.minimum.reduce(*args, **kwargs)
+
+        def reduceat(self, *args, **kwargs):
+            calls.append("reduceat")
+            return np.minimum.reduceat(*args, **kwargs)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(convcode, "_CHUNK_BITS", chunk_bits)
+    monkeypatch.setattr(convcode, "np", Numpy())
+    rng = random.Random(jmax)
+    tables = [[rng.randrange(300) for _ in range(1 << 3 * k)] for _ in range(batch)]
+    got = convcode._min_weights(np.array([newest_on_top(t, k) for t in tables]).T, k, jmax)
+    assert got.tolist() == [scalar_min_weights(t, k, jmax) for t in tables]
+    narrow = batch <= convcode._REDUCEAT_BATCH
+    assert calls.count("reduceat") == (pieces if narrow else 0)
+    if pieces == 1:
+        assert calls.count("reduce") == (2 if narrow else jmax + 2)
+
+
+@pytest.mark.parametrize("params, jmax",[((2, 1, 2), 23), ((5, 1, 3), 25), ((3, 2, 1), 12),
                                           ((4, 3, 1), 8)])
 def test_exhaustive_memory_stays_in_pieces(params, jmax):
     """Near the exhaustion guard the kernel holds one piece of at most
