@@ -737,7 +737,7 @@ def test_min_weights_reduces_each_piece_once(monkeypatch, k, jmax, chunk_bits, b
         assert calls.count("reduce") == (2 if narrow else jmax + 2)
 
 
-@pytest.mark.parametrize("params, jmax",[((2, 1, 2), 23), ((5, 1, 3), 25), ((3, 2, 1), 12),
+@pytest.mark.parametrize("params, jmax", [((2, 1, 2), 23), ((5, 1, 3), 25), ((3, 2, 1), 12),
                                           ((4, 3, 1), 8)])
 def test_exhaustive_memory_stays_in_pieces(params, jmax):
     """Near the exhaustion guard the kernel holds one piece of at most
