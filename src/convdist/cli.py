@@ -60,8 +60,9 @@ def _header_int(value) -> int:
 def parse_code_file(text: str) -> cc.ConvCode:
     """Parse the text (or JSON) code format, cross-checking the degree.
 
-    The declared delta must match the internal degree of G(z), the largest
-    degree of its k x k minors; a mismatch is a hard error.  Every malformed
+    The header must name a code (`convcode.check_parameters`), and the
+    declared delta must be the internal degree of G(z), the largest degree
+    of its k x k minors (`convcode.check_degree`).  Every malformed
     input raises ValueError, a JSON block of G that does not hold exactly k
     rows among them.  Packing G(z) takes time in proportion to its
     (mu+1)*k rows times (mu+1)*n bits, so once the header and the row count
@@ -89,8 +90,7 @@ def parse_code_file(text: str) -> cc.ConvCode:
             raise ValueError("header must be 'n k delta'")
         rows, sizes = lines[1:], []
     n, k, delta = (_header_int(x) for x in header)
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
+    cc.check_parameters(n, k, delta)
     if bad := [i for i, size in enumerate(sizes) if size != k]:
         raise ValueError(f"JSON block G[{bad[0]}] must hold k={k} rows, not {sizes[bad[0]]}")
     if len(rows) % k:
@@ -103,12 +103,7 @@ def parse_code_file(text: str) -> cc.ConvCode:
         BitMatrix.from_strings(rows[i : i + k]) for i in range(0, len(rows), k)
     )
     code = cc.ConvCode(n, k, coeffs, delta)
-    measured = cc.internal_degree(code)
-    if measured != delta:
-        why = f"re-derived degree {measured}"
-        if measured is None:
-            why = "any degree: G(z) has rank below k"
-        raise ValueError(f"declared degree {delta} does not match {why}")
+    cc.check_degree(code)
     return code
 
 
@@ -224,10 +219,7 @@ def cmd_check(args):
 
 
 def cmd_bounds(args):
-    if args.n <= args.k or args.k < 1:
-        raise ValueError("bounds need n > k >= 1")
-    if args.delta < 0:
-        raise ValueError("delta must be >= 0")
+    cc.check_parameters(args.n, args.k, args.delta)
     jmax = args.jmax if args.jmax is not None else args.delta + 5
     cc.check_jmax(jmax)
     out = {

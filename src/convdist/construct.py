@@ -22,8 +22,9 @@ from .convcode import (
     STEP_WORK_GUARD,
     ConvCode,
     DistanceProfile,
-    _internal_degree,
     _stacked_code,
+    check_degree,
+    check_parameters,
     distance_profile,
     free_distance,
     is_noncatastrophic,
@@ -161,32 +162,27 @@ REFERENCE_TABLES = {
 
 
 def _check_parameters(n: int, k: int, delta: int) -> None:
-    """Refuse, before any work, (n, k, delta) that no code has, and a stack
-    past the memory guard.  Packing G(z) adds each of the delta + k stacked
-    rows, shifted, into a row of ceil(delta/k) + 1 blocks of n bits, one
-    block per coefficient matrix, so the stack is priced as delta + k rows
-    of that width: the packing time grows as delta^2, and the coefficient
-    matrices take memory in proportion to delta/k + 1."""
-    if n < 1 or k < 1 or delta < 0:
-        raise ValueError("invalid parameters")
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k} > n={n}")
+    """Refuse, before any work, (n, k, delta) that names no code, and a
+    stack past the memory guard.  Packing G(z) adds each of the delta + k
+    stacked rows, shifted, into a row of ceil(delta/k) + 1 blocks of n bits,
+    one block per coefficient matrix, so the stack is priced as delta + k
+    rows of that width: the packing time grows as delta^2, and the
+    coefficient matrices take memory in proportion to delta/k + 1."""
+    check_parameters(n, k, delta)
     guard_table((delta + k - 1).bit_length(), (-(-delta // k) + 1) * n, "stack")
 
 
 def stack_to_code(stack: BitMatrix, k: int, delta: int) -> ConvCode:
     """The code of a (delta+k)-row stacked matrix: row i*k + r is row r of
     G_i, as `convcode._stacked_code` lays it out.  A stack whose code has
-    internal degree other than delta is refused.
+    internal degree other than delta is refused by `check_degree`.
     """
     _check_parameters(stack.cols, k, delta)
     if stack.rows != delta + k:
         raise ValueError("stacked matrix must have delta+k rows")
-    degree = _internal_degree(stack.row_bits, stack.cols, k)
-    if degree != delta:
-        why = "G(z) has rank below k" if degree is None else f"internal degree is {degree}"
-        raise ValueError(f"chosen columns cannot realize degree {delta}: {why}")
-    return _stacked_code(stack.row_bits, stack.cols, k, delta)
+    code = _stacked_code(stack.row_bits, stack.cols, k, delta)
+    check_degree(code)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +220,7 @@ def binary_decomposition(r: int):
 
 def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile:
     """The guaranteed per-j lower bounds for the near-optimal construction."""
+    check_parameters(n, 1, delta)
     m = n >> delta
     n1 = m << delta
     exponents = binary_decomposition(n - n1)
@@ -241,8 +238,9 @@ def near_optimal_bound_profile(n: int, delta: int, jmax: int) -> DistanceProfile
 
 def predicted_profile_k_dim(n: int, k: int, delta: int, jmax: int) -> DistanceProfile:
     """Closed-form profile n*2^(k-1)/(2^k-1) + min(j, floor(delta/k))*n/2."""
+    check_parameters(n, k, delta)
     base = (1 << delta) * ((1 << k) - 1)
-    if n < 1 or n % base:
+    if n % base:
         raise ValueError(f"n={n} is not a positive multiple of 2^{delta}*(2^{k}-1)")
     d0 = n * (1 << (k - 1)) // ((1 << k) - 1)
     cap = delta // k

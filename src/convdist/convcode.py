@@ -96,6 +96,15 @@ class ConvCode:
         return _left_prime(self)
 
 
+def check_parameters(n: int, k: int, delta: int) -> None:
+    """Refuse (n, k, delta) that names no code: the package's one test of
+    1 <= k <= n and delta >= 0, and its one wording of the refusal."""
+    if not 1 <= k <= n or delta < 0:
+        raise ValueError(
+            f"n={n}, k={k}, delta={delta} name no code: need 1 <= k <= n and delta >= 0"
+        )
+
+
 def _stacked_code(stack, n: int, k: int, delta: int) -> ConvCode:
     """The code of the stacked rows `stack`: row i*k + r is row r of G_i.
     The last block is padded with zero rows, and trailing zero G_i (all but
@@ -465,9 +474,19 @@ def internal_degree(c: ConvCode) -> Optional[int]:
     Once G(z) is row-reduced, its row degrees sum to the internal degree
     (Forney 1975).
     """
-    if c.k > c.n:
-        raise ValueError("need k <= n")
+    check_parameters(c.n, c.k, c.delta)
     return _internal_degree([row for g in c.coeffs for row in g.row_bits], c.n, c.k)
+
+
+def check_degree(c: ConvCode) -> None:
+    """Refuse a code whose declared degree is not its internal degree: the
+    package's one test of that rule, and its one wording of the refusal."""
+    degree = internal_degree(c)
+    if degree != c.delta:
+        why = f"the internal degree {degree}"
+        if degree is None:
+            why = "an internal degree: G(z) has rank below k"
+        raise ValueError(f"declared degree {c.delta} is not {why}")
 
 
 def is_row_reduced(c: ConvCode) -> bool:
@@ -545,6 +564,7 @@ def _left_prime(c: ConvCode) -> bool:
 
 def singleton_bound(n: int, k: int, delta: int) -> int:
     """Generalized Singleton bound on the free distance."""
+    check_parameters(n, k, delta)
     return (n - k) * (delta // k + 1) + delta + 1
 
 
@@ -555,6 +575,7 @@ def column_bound(n: int, k: int, j: int) -> int:
 
 def L_value(n: int, k: int, delta: int) -> int:
     """Largest j at which the generic column bound can still be attained."""
+    check_parameters(n, k, delta)
     if n <= k:
         raise ValueError("L needs n > k")
     return delta // k + delta // (n - k)

@@ -4,10 +4,9 @@ Vectors and matrix rows are stored as Python ints with coordinate 0 in the
 least significant bit, so Hamming weights are popcounts and row operations
 are single XORs.  Polynomials over GF(2) are ints as well, with the
 coefficient of z^i at bit i; the package needs only their product and
-division.  Rows become columns through `transpose`, and ints become 0/1
-strings and back through one base-2 codec, both in linear time.  Every
-Gaussian elimination goes through `echelon`, and every codeword-weight
-enumeration through one numpy kernel, `xor_span`.
+division.  Ints become 0/1 strings and back through one base-2 codec, in
+linear time.  Every Gaussian elimination goes through `echelon`, and every
+codeword-weight enumeration through one numpy kernel, `xor_span`.
 
 numpy is bound here, and only here, as `np`: the other modules import it
 from this one.  Unless numpy was already imported, it loads on the first
@@ -50,14 +49,6 @@ def _bit_string(bits: int, width: int) -> str:
     """The `width`-bit int `bits` as 0/1 characters, bit 0 first.  The bit
     set at `width` keeps the leading zeros, and is cut off again."""
     return format(bits | 1 << width, "b")[:0:-1]
-
-
-def transpose(vectors: Sequence[int], width: int) -> list:
-    """Entry j is column j of the matrix whose rows are the `width`-bit
-    `vectors`, with row i at bit i, in time linear in the matrix size."""
-    # the last row is the top digit; a zero row keeps the width of no rows
-    rows = [_bit_string(v, width) for v in reversed(vectors)]
-    return [int("".join(col), 2) for col in zip("0" * width, *rows)]
 
 
 @dataclass(frozen=True)

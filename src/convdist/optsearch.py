@@ -24,8 +24,9 @@ from .convcode import (
     _internal_degree,
     _min_weights,
     _stacked_code,
+    check_degree,
+    check_parameters,
     column_distances_exhaustive,
-    internal_degree,
 )
 from .gf2core import (
     _WORD_MASK, BitMatrix, BitVec, guard_table, np, span_weights, xor_span,
@@ -165,10 +166,7 @@ def price_search(n: int, k: int, delta: int, horizon: int) -> None:
     delta is priced as delta: nearly every orbit can tie there, and each
     tie becomes a code.  A J whose 2^(k*J) messages alone pass the message
     guard, which is no larger than the work guard, is refused first."""
-    if n < 1 or k < 1 or delta < 0:
-        raise ValueError("invalid parameters")
-    if k > n:
-        raise ValueError("empty enumeration space: no delay-free code has k > n")
+    check_parameters(n, k, delta)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     steps = max(horizon, delta) + 1
@@ -254,12 +252,7 @@ def verify_optimal(c: ConvCode, horizon: Optional[int] = None) -> OptimalityVerd
     if horizon is None:
         horizon = c.delta + 5
     price_search(c.n, c.k, c.delta, horizon)
-    degree = internal_degree(c)
-    if degree != c.delta:
-        why = f"the internal degree {degree}"
-        if degree is None:
-            why = "an internal degree: G(z) has rank below k"
-        raise ValueError(f"declared degree {c.delta} is not {why}")
+    check_degree(c)
     depth = max(horizon, c.delta)
     profile = tuple(column_distances_exhaustive(c, depth))
     best, rows = _best_orbits(_scored_orbits(c.n, c.k, c.delta, depth), horizon + 1)

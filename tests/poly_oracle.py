@@ -1,7 +1,10 @@
 """Polynomials and polynomial matrices over GF(2)[z], and their k x k
 minors: the tests' oracle for the structural predicates, which the package
 itself computes by row and column reduction without enumerating minors.
-Also `vec_mat_mul`, one codeword at a time: the oracle for `xor_span`."""
+Also `vec_mat_mul`, one codeword at a time: the oracle for `xor_span`;
+`transpose`, rows to columns: the oracle for `optsearch._stacked_rows`,
+and the way the tests build codes from column tubes; and `code_from_rows`,
+a code from the 0/1 rows of G_0..G_mu."""
 
 from __future__ import annotations
 
@@ -9,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from convdist.gf2core import BitMatrix, BitVec, poly_divmod, poly_mul
+from convdist.convcode import ConvCode
+from convdist.gf2core import BitMatrix, BitVec, _bit_string, poly_divmod, poly_mul
 
 
 @dataclass(frozen=True)
@@ -166,3 +170,21 @@ def vec_mat_mul(u: int, m: BitMatrix) -> int:
         if u >> i & 1:
             acc ^= row
     return acc
+
+
+def transpose(vectors: Sequence[int], width: int) -> list:
+    """Entry j is column j of the matrix whose rows are the `width`-bit
+    `vectors`, with row i at bit i, in time linear in the matrix size."""
+    # the last row is the top digit; a zero row keeps the width of no rows
+    rows = [_bit_string(v, width) for v in reversed(vectors)]
+    return [int("".join(col), 2) for col in zip("0" * width, *rows)]
+
+
+def code_from_rows(rows, k=1, delta=None):
+    n = len(rows[0])
+    coeffs = tuple(
+        BitMatrix.from_strings(rows[i : i + k]) for i in range(0, len(rows), k)
+    )
+    if delta is None:
+        delta = len(coeffs) - 1
+    return ConvCode(n, k, coeffs, delta)

@@ -6,8 +6,12 @@ import pytest
 
 from convdist import convcode
 from convdist.cli import format_code_file, main, parse_code_file
-from convdist.construct import REFERENCE_TABLES, construct
-from convdist.convcode import column_distances_trellis, distance_profile, is_noncatastrophic
+from convdist.construct import REFERENCE_TABLES, construct, stack_to_code
+from convdist.convcode import (
+    ConvCode, column_distances_trellis, distance_profile, is_noncatastrophic,
+)
+from convdist.gf2core import BitMatrix
+from convdist.optsearch import optimal_codes_bruteforce, verify_optimal
 
 
 def run(capsys, *argv):
@@ -342,7 +346,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["4", "1", "-1"], "delta must be >= 0"),
+            (["4", "1", "-1"], "n=4, k=1, delta=-1 name no code: need 1 <= k <= n and delta >= 0"),
             (["4", "1", "2", "--jmax", "-1"], "jmax must be >= 0"),
         ],
         ids=["delta", "jmax"],
@@ -486,6 +490,79 @@ class TestReproduceAndUsage:
     def test_help_exits_zero(self, capsys):
         rc, _, _ = run(capsys, "--help")
         assert rc == 0
+
+
+def refusals(capsys, calls, argvs):
+    """The message of each call's ValueError, and of each CLI run's
+    one-line error, which must exit 1 with nothing on stdout."""
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    for argv in argvs:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        messages.append(err[len("error: ") : -1])
+    return messages
+
+
+class TestOneMessagePerRule:
+    @pytest.mark.parametrize(
+        "n,k,delta,rows,message",
+        [
+            (2, 1, 2, ["11", "10"], "declared degree 2 is not the internal degree 1"),
+            (
+                2, 2, 0, ["10", "10"],
+                "declared degree 0 is not an internal degree: G(z) has rank below k",
+            ),
+        ],
+        ids=["internal_degree_1", "rank_below_k"],
+    )
+    def test_declared_degree_is_the_internal_degree(
+        self, tmp_path, capsys, n, k, delta, rows, message
+    ):
+        text = f"{n} {k} {delta}\n" + "".join(f"{r}\n" for r in rows)
+        blocks = [rows[i : i + k] for i in range(0, len(rows), k)]
+        blob = json.dumps({"n": n, "k": k, "delta": delta, "G": blocks})
+        coeffs = tuple(map(BitMatrix.from_strings, blocks))
+        stack = BitMatrix.from_strings(rows + ["0" * n] * (delta + k - len(rows)))
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        messages = refusals(
+            capsys,
+            [
+                lambda: parse_code_file(text),
+                lambda: parse_code_file(blob),
+                lambda: stack_to_code(stack, k, delta),
+                lambda: verify_optimal(ConvCode(n, k, coeffs, delta)),
+            ],
+            [["check", str(path)], ["verify-optimal", str(path)]],
+        )
+        assert messages == [message] * 6
+
+    @pytest.mark.parametrize("n,k,delta", [(2, 3, 1), (0, 1, 1), (4, 1, -1)])
+    def test_parameters_name_a_code(self, tmp_path, capsys, n, k, delta):
+        nkd = [str(n), str(k), str(delta)]
+        path = tmp_path / "c.txt"
+        path.write_text(" ".join(nkd) + "\n" + "1" * max(n, 1) + "\n")
+        messages = refusals(
+            capsys,
+            [
+                lambda: construct(n, k, delta),
+                lambda: optimal_codes_bruteforce(n, k, delta, 2),
+                lambda: parse_code_file(path.read_text()),
+            ],
+            [
+                ["construct", *nkd],
+                ["verify-optimal", "--params", *nkd],
+                ["bounds", *nkd],
+                ["check", str(path)],
+            ],
+        )
+        message = f"n={n}, k={k}, delta={delta} name no code: need 1 <= k <= n and delta >= 0"
+        assert messages == [message] * 7
 
 
 @pytest.mark.parametrize(

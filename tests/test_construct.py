@@ -33,10 +33,13 @@ from convdist.convcode import (
     is_delay_free,
     is_noncatastrophic,
     is_row_reduced,
+    L_value,
+    singleton_bound,
 )
-from convdist.gf2core import BitMatrix, hstack, table_bits, transpose
+from convdist.gf2core import BitMatrix, hstack, table_bits
 from convdist.optsearch import optimal_codes_bruteforce, wt_profile
 from convdist.simplex import canonical_stack, k_partial_simplex, m_fold, partial_simplex
+from poly_oracle import transpose
 
 
 def coeff_strings(code):
@@ -363,6 +366,25 @@ class TestDispatcher:
         for n, free in [(5, 11), (6, 13), (7, 15), (8, 16)]:
             code, _ = construct(n, 1, 2)
             assert free_distance(code) == free
+
+
+@pytest.mark.parametrize(
+    "call,params",
+    [
+        (lambda: predicted_profile_k_dim(4, 0, 1, 3), "n=4, k=0, delta=1"),
+        (lambda: predicted_profile_k_dim(2, 3, 1, 3), "n=2, k=3, delta=1"),
+        (lambda: predicted_profile_rate_1_n(4, -2, 3), "n=4, k=1, delta=-2"),
+        (lambda: near_optimal_bound_profile(0, 2, 3), "n=0, k=1, delta=2"),
+        (lambda: singleton_bound(4, 0, 1), "n=4, k=0, delta=1"),
+        (lambda: L_value(4, 0, 1), "n=4, k=0, delta=1"),
+    ],
+    ids=["k_dim", "k_dim_k_above_n", "rate_1_n", "near_optimal", "singleton", "L"],
+)
+def test_closed_forms_refuse_parameters_that_name_no_code(call, params):
+    # they divided by zero, or returned a profile of zeros, for these
+    message = f"{params} name no code: need 1 <= k <= n and delta >= 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def per_candidate_extension(k, delta, r):

@@ -32,18 +32,8 @@ from convdist.convcode import (
     singleton_bound,
     sliding_matrix,
 )
-from convdist.gf2core import BitMatrix, rank, transpose
-from poly_oracle import PolyMatrix, k_minors, poly_gcd, vec_mat_mul
-
-
-def code_from_rows(rows, k=1, delta=None):
-    n = len(rows[0])
-    coeffs = tuple(
-        BitMatrix.from_strings(rows[i : i + k]) for i in range(0, len(rows), k)
-    )
-    if delta is None:
-        delta = len(coeffs) - 1
-    return ConvCode(n, k, coeffs, delta)
+from convdist.gf2core import BitMatrix, rank
+from poly_oracle import PolyMatrix, code_from_rows, k_minors, poly_gcd, transpose, vec_mat_mul
 
 
 REP_211 = code_from_rows(["11", "10"])  # (2,1,1), profile (2,3,3,...)

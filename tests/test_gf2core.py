@@ -17,12 +17,13 @@ from convdist.gf2core import (
     hstack,
     rank,
     span_weights,
-    transpose,
     vstack,
     xor_span,
 )
 from convdist.optsearch import _stacked_rows, wt_profile
-from poly_oracle import POLY_ONE, POLY_ZERO, Poly2, PolyMatrix, k_minors, poly_gcd, vec_mat_mul
+from poly_oracle import (
+    POLY_ONE, POLY_ZERO, Poly2, PolyMatrix, k_minors, poly_gcd, transpose, vec_mat_mul,
+)
 
 
 class TestBitVec:

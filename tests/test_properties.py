@@ -23,9 +23,9 @@ from convdist.convcode import (
     is_noncatastrophic,
     row_weight_bounds,
 )
-from convdist.gf2core import BitMatrix, span_weights, transpose, xor_span
+from convdist.gf2core import BitMatrix, span_weights, xor_span
 from convdist.optsearch import _stacked_rows
-from poly_oracle import PolyMatrix, k_minors, poly_gcd
+from poly_oracle import PolyMatrix, k_minors, poly_gcd, transpose
 
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 

@@ -27,7 +27,7 @@ REMOVED = {
         "_tube_weights",
         "_window_rows",
     ],
-    "gf2core": ["vec_mat_mul", "weight"],
+    "gf2core": ["vec_mat_mul", "weight", "transpose"],
 }
 REMOVED_METHODS = [
     (BitMatrix, "columns"),
