@@ -381,7 +381,6 @@ class TestDispatcher:
     ids=["k_dim", "k_dim_k_above_n", "rate_1_n", "near_optimal", "singleton", "L"],
 )
 def test_closed_forms_refuse_parameters_that_name_no_code(call, params):
-    # they divided by zero, or returned a profile of zeros, for these
     message = f"{params} name no code: need 1 <= k <= n and delta >= 0"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
