@@ -170,8 +170,6 @@ def _mdp(code: cc.ConvCode, values: tuple) -> Optional[bool]:
 def _profile_report(code: cc.ConvCode, jmax: int, want_free: bool):
     profile = cc.distance_profile(code, jmax)
     flags = _flags(code, cc.external_degree(code))
-    if want_free and not flags["noncatastrophic"]:
-        raise ValueError("free distance is a limit that a catastrophic code need not attain")
     report = {
         "n": code.n,
         "k": code.k,

@@ -64,8 +64,7 @@ class ConvCode:
     delta: int
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.delta < 0:
-            raise ValueError("invalid code parameters")
+        check_parameters(self.n, self.k, self.delta)
         if not self.coeffs:
             raise ValueError("need at least G_0")
         for g in self.coeffs:
@@ -211,34 +210,31 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
     table over the inner axis of the older blocks.  One add writes a level,
     each after the other in one array, and one `reduceat` over that array
     gives d_j of all of them (a `reduce` per level past _REDUCEAT_BATCH
-    codes).  The last level is never built: d_jmax is the least parent
-    weight plus rowmin, the lightest newest block of each window, added in
-    place over the parents after the `reduceat`.  A piece (the descendants
-    of the level-0 prefixes or of one prefix, whose blocks enter the views
-    as a fixed index) whose levels would pass 2^_CHUNK_BITS entries is grown
-    one level, each child then a piece of its own.  The batch is innermost,
-    as `xor_span` fills it.
+    codes).  A piece (the descendants of the level-0 prefixes or of one
+    prefix, whose blocks enter the views as a fixed index) whose levels
+    would pass 2^_CHUNK_BITS entries is grown one level, each child then a
+    piece of its own.  The batch is innermost, as `xor_span` fills it.
     """
     batch = tables.shape[1]
     bound = int(tables.max()) * (jmax + 1)  # no prefix weighs more
     dtype = np.min_scalar_type(bound)
     tables = np.ascontiguousarray(tables, dtype=dtype)
-    rowmin = np.minimum.reduce(tables.reshape(1 << k, -1, batch))
+    bits = len(tables).bit_length() - 1
     budget = max(1 << k, (1 << _CHUNK_BITS) // batch)  # per code; one parent always fits
 
-    def levels(j):  # entries of levels j..jmax-1 under one prefix of level j
-        return ((1 << k * (jmax - j)) - 1) // ((1 << k) - 1)
+    def levels(j):  # entries of levels j..jmax under one prefix of level j
+        return ((1 << k * (jmax + 1 - j)) - 1) // ((1 << k) - 1)
 
-    def read(table, f, lo, hi, j, new):
-        """`table`, over the newest blocks of a window, at the prefixes f
+    def read(f, lo, hi, j, new):
+        """The table, over the newest blocks of a window, at the prefixes f
         levels below the prefixes lo..hi-1 of level j, with `new` entries of
         the newest block on the leading axis."""
-        free, bits = k * f, len(table).bit_length() - 1
+        free = k * f
         if free >= bits:
-            return table.reshape(new, -1, 1, batch)
+            return tables.reshape(new, -1, 1, batch)
         fixed = min(bits - free, k * (j + 1))  # the newest blocks of the root
         shift = k * (j + 1) - fixed
-        view = table.reshape(new, (1 << free) // new, 1 << fixed, -1, batch)
+        view = tables.reshape(new, (1 << free) // new, 1 << fixed, -1, batch)
         return view[:, :, lo >> shift : ((hi - 1) >> shift) + 1, 0]
 
     def take(run, lo, hi, j):
@@ -247,7 +243,7 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
         least = np.empty((jmax + 1 - j, batch), dtype)
         if (hi - lo) * levels(j) > budget:
             np.minimum.reduce(run, 0, None, least[0])
-            children = np.add(run, read(tables, 1, lo, hi, j, 1 << k)).reshape(-1, batch)
+            children = np.add(run, read(1, lo, hi, j, 1 << k)).reshape(-1, batch)
             least[1:] = bound
             for x in range(len(children)):
                 p = (x // (hi - lo)) << k * (j + 1) | lo + x % (hi - lo)
@@ -258,26 +254,22 @@ def _min_weights(tables: np.ndarray, k: int, jmax: int) -> np.ndarray:
         starts = [start]
         level = work[:count]
         level[...] = run
-        for f in range(1, jmax - j):
-            view = read(tables, f, lo, hi, j, 1 << k)
+        for f in range(1, jmax + 1 - j):
+            view = read(f, lo, hi, j, 1 << k)
             parents = level.reshape(view.shape[1], -1, batch)
             start, count = start + count, count << k
             starts.append(start)
             level = work[start : start + count]
             np.add(parents, view, out=level.reshape((1 << k,) + parents.shape))
-        if batch <= _REDUCEAT_BATCH:  # d_j..d_jmax-1
-            np.minimum.reduceat(work, starts, 0, None, least[:-1])
+        if batch <= _REDUCEAT_BATCH:
+            np.minimum.reduceat(work, starts, 0, None, least)
         else:
             for f, (s, e) in enumerate(zip(starts, starts[1:] + [len(work)])):
                 np.minimum.reduce(work[s:e], 0, None, least[f])
-        view = read(rowmin, jmax - 1 - j, lo, hi, j, 1)
-        parents = level.reshape(1, view.shape[1], -1, batch)
-        np.add(parents, view, out=parents)
-        np.minimum.reduce(level, 0, None, least[-1])
         return least
 
-    run = read(tables, 0, 1, 1 << k, 0, 1)[0, 0]  # level 0
-    return take(run, 1, 1 << k, 0).T if jmax else np.minimum.reduce(run, 0)[:, None]
+    run = read(0, 1, 1 << k, 0, 1)[0, 0]  # level 0
+    return take(run, 1, 1 << k, 0).T
 
 
 def column_distances_exhaustive(c: ConvCode, jmax: int):
@@ -474,7 +466,6 @@ def internal_degree(c: ConvCode) -> Optional[int]:
     Once G(z) is row-reduced, its row degrees sum to the internal degree
     (Forney 1975).
     """
-    check_parameters(c.n, c.k, c.delta)
     return _internal_degree([row for g in c.coeffs for row in g.row_bits], c.n, c.k)
 
 

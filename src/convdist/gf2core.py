@@ -144,17 +144,20 @@ def echelon(vecs) -> list:
 
     Entry i is (low, v, mask): vector i reduced by the earlier pivots in
     order to v, the sum of the vectors at the bits of mask, and low = v & -v,
-    its pivot bit, which is 0 exactly when that set of vectors sums to zero,
-    so that such an entry reduces nothing.
+    its pivot bit, which is 0 exactly when that set of vectors sums to zero.
+    Only the pivots reduce, so a long list of dependent vectors costs one
+    pass over the pivots each, never over the zero entries before it.
     """
-    entries = []
+    entries, pivots = [], []
     for i, v in enumerate(vecs):
         mask = 1 << i
-        for low, pv, pmask in entries:
+        for low, pv, pmask in pivots:
             if v & low:
                 v ^= pv
                 mask ^= pmask
         entries.append((v & -v, v, mask))
+        if v:
+            pivots.append(entries[-1])
     return entries
 
 

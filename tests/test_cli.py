@@ -8,7 +8,7 @@ from convdist import convcode
 from convdist.cli import format_code_file, main, parse_code_file
 from convdist.construct import REFERENCE_TABLES, construct, stack_to_code
 from convdist.convcode import (
-    ConvCode, column_distances_trellis, distance_profile, is_noncatastrophic,
+    ConvCode, column_distances_trellis, distance_profile, free_distance, is_noncatastrophic,
 )
 from convdist.gf2core import BitMatrix
 from convdist.optsearch import optimal_codes_bruteforce, verify_optimal
@@ -563,6 +563,17 @@ class TestOneMessagePerRule:
         )
         message = f"n={n}, k={k}, delta={delta} name no code: need 1 <= k <= n and delta >= 0"
         assert messages == [message] * 7
+
+    def test_free_distance_needs_a_noncatastrophic_code(self, tmp_path, capsys):
+        # G(z) = (1 + z, 1 + z)
+        path = tmp_path / "bad.txt"
+        path.write_text("2 1 1\n11\n11\n")
+        messages = refusals(
+            capsys,
+            [lambda: free_distance(parse_code_file(path.read_text()))],
+            [["profile", str(path), "--free"]],
+        )
+        assert messages == ["free distance search requires a non-catastrophic code"] * 2
 
 
 @pytest.mark.parametrize(
