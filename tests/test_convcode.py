@@ -686,11 +686,17 @@ def test_min_weights_at_the_piece_budget(monkeypatch, k, jmax, chunk_bits, batch
         assert got.tolist() == [scalar_min_weights(t, k, jmax) for t in tables], depth
 
 
+PIECE_CASES = [
+    (1, 1, 22, 1, 1, 0), (1, 8, 22, 1, 1, 0), (2, 3, 22, 32, 1, 0), (1, 8, 22, 8, 1, 0),
+    (2, 4, 22, 8, 1, 0), (2, 0, 22, 1, 1, 0), (1, 8, 4, 1, 32, 31), (2, 4, 7, 4, 48, 13),
+    (1, 5, 22, 33, 1, 6),
+]
+
+
 @pytest.mark.parametrize(
     "k, jmax, chunk_bits, batch, pieces, reduces",
-    [(1, 1, 22, 1, 1, 0), (1, 8, 22, 1, 1, 0), (2, 3, 22, 32, 1, 0), (1, 8, 22, 8, 1, 0),
-     (2, 4, 22, 8, 1, 0), (2, 0, 22, 1, 1, 0), (1, 8, 4, 1, 32, 31), (2, 4, 7, 4, 48, 13),
-     (1, 5, 22, 33, 1, 6)],
+    PIECE_CASES,
+    ids=["-".join(map(str, case[:5])) for case in PIECE_CASES],
 )
 def test_min_weights_reduces_each_piece_once(
     monkeypatch, k, jmax, chunk_bits, batch, pieces, reduces
